@@ -20,11 +20,14 @@ RATIO_MIN = 1e-12
 RATIO_MAX = 1e12
 
 
-def check_posterior(probs, name: str = "posterior") -> np.ndarray:
-    """Validate an (n, K) row-stochastic probability matrix."""
+def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
+    """Validate an (n, K) row-stochastic probability matrix, with n equal to
+    `n_rows` when given."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ValidationError(f"{name} must be an (n, K>=2) matrix")
+    if n_rows is not None and p.shape[0] != n_rows:
+        raise ValidationError(f"{name}: {p.shape[0]} rows, expected {n_rows}")
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     sums = p.sum(axis=1)

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,18 +46,26 @@ AGGREGATE_HEADER = [
 ]
 
 
+# Generator fields that each grid cell or run fills in; a generator block
+# sets only the others.
+_SYNTH_CELL_FIELDS = ("n_source", "n_target", "shift_slope", "target_prior", "seed")
+_RESAMPLE_CELL_FIELDS = ("base_rate", "shift_delta", "n_source", "n_target", "seed")
+
+
 @dataclass
 class SyntheticGeneratorSpec:
-    dataset_kind: str
-    d_z: int = 5
-    d_x: int = 10
-    source_cond_prob: float = 0.05
+    """`SynthConfig` keyword arguments shared by every run of the grid."""
+
+    settings: dict
 
 
 @dataclass
 class ResampleGeneratorSpec:
+    """The labeled input plus `ShiftProtocolConfig` keyword arguments shared
+    by every run of the grid."""
+
     input_csv: str
-    conditioning_column: int = 0
+    settings: dict
 
 
 @dataclass
@@ -86,24 +95,34 @@ class ExperimentConfig:
             raise ValidationError("repetitions must be >= 1")
 
 
-def _fit_config_from(doc: dict) -> FitConfig:
-    return FitConfig(
-        max_iters=int(doc.get("max_iters", 2000)),
-        step_size=float(doc.get("step_size", 0.1)),
-        tolerance=float(doc.get("tolerance", 1e-7)),
-        l2_penalty=float(doc.get("l2_penalty", 1e-6)),
-        seed=int(doc.get("seed", 0)),
-    )
+def config_fields(cls, doc: dict, supplied=()) -> dict:
+    """Keyword arguments for the config dataclass `cls` read from a JSON object.
+
+    A key naming an int or float field is converted to that type, other
+    values are taken as they are. A field the document omits is left out,
+    so the dataclass default applies; a required one raises KeyError.
+    Fields named in `supplied`, which the caller fills in, and keys naming
+    no field are ignored.
+    """
+    types = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name in supplied:
+            continue
+        if f.name in doc:
+            value = doc[f.name]
+            out[f.name] = types[f.name](value) if types[f.name] in (int, float) else value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return out
 
 
 def _em_config_from(doc: dict) -> EmConfig:
-    default = EmConfig()
-    inner = _fit_config_from(doc.get("inner", {})) if "inner" in doc else default.inner
-    return EmConfig(
-        max_em_iters=int(doc.get("max_em_iters", default.max_em_iters)),
-        em_tolerance=float(doc.get("em_tolerance", default.em_tolerance)),
-        inner=inner,
-    )
+    settings = config_fields(EmConfig, doc, supplied=("inner",))
+    if "inner" in doc:
+        # A partial inner block keeps the M-step defaults, not FitConfig's.
+        settings["inner"] = replace(EmConfig().inner, **config_fields(FitConfig, doc["inner"]))
+    return EmConfig(**settings)
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
@@ -113,15 +132,14 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         kind = gen_doc.get("kind", "synthetic")
         if kind == "synthetic":
             generator = SyntheticGeneratorSpec(
-                dataset_kind=gen_doc["dataset_kind"],
-                d_z=int(gen_doc.get("d_z", 5)),
-                d_x=int(gen_doc.get("d_x", 10)),
-                source_cond_prob=float(gen_doc.get("source_cond_prob", 0.05)),
+                config_fields(SynthConfig, gen_doc, supplied=_SYNTH_CELL_FIELDS)
             )
         elif kind == "resample":
             generator = ResampleGeneratorSpec(
                 input_csv=gen_doc["input_csv"],
-                conditioning_column=int(gen_doc.get("conditioning_column", 0)),
+                settings=config_fields(
+                    ShiftProtocolConfig, gen_doc, supplied=_RESAMPLE_CELL_FIELDS
+                ),
             )
         else:
             raise ValidationError(f"unknown generator kind {kind!r}")
@@ -138,7 +156,7 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             aggregate_path=doc.get("aggregate_path"),
             measure_wall_clock=bool(doc.get("measure_wall_clock", False)),
             em=_em_config_from(doc.get("em", {})),
-            fit=_fit_config_from(doc.get("fit", {})),
+            fit=FitConfig(**config_fields(FitConfig, doc.get("fit", {}))),
         )
     except KeyError as exc:
         raise ValidationError(f"benchmark config missing field: {exc}") from None
@@ -151,15 +169,12 @@ def _generate(config: ExperimentConfig, base_data, a: float, k: float, n: int, s
     if isinstance(gen, SyntheticGeneratorSpec):
         return generate_pair(
             SynthConfig(
-                dataset_kind=gen.dataset_kind,
                 n_source=n,
                 n_target=n,
-                d_z=gen.d_z,
-                d_x=gen.d_x,
-                source_cond_prob=gen.source_cond_prob,
                 shift_slope=k,
                 target_prior=a,
                 seed=seed,
+                **gen.settings,
             )
         )
     proto = ShiftProtocolConfig(
@@ -167,15 +182,10 @@ def _generate(config: ExperimentConfig, base_data, a: float, k: float, n: int, s
         shift_delta=k,
         n_source=n,
         n_target=n,
-        conditioning_column=gen.conditioning_column,
         seed=seed,
+        **gen.settings,
     )
     return induce_conditional_shift(base_data, proto)
-
-
-def _source_prior(source: LabeledDataset) -> np.ndarray:
-    counts = np.bincount(source.y, minlength=source.n_classes + 1)[1:]
-    return counts / counts.sum()
 
 
 def run_single(
@@ -211,7 +221,7 @@ def run_single(
             posterior = naive_posterior(models, unlabeled)
         elif method == "mlls":
             posterior = fit_mlls(
-                models.posterior_model, _source_prior(source), unlabeled, em
+                models.posterior_model, source.class_prior(), unlabeled, em
             ).target_posterior
         elif method == "cpsm":
             posterior = fit_cpsm(models, unlabeled, em).target_posterior

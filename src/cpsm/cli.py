@@ -18,6 +18,7 @@ from .data import (
     read_dataset_csv,
     write_dataset_csv,
     write_labels_csv,
+    write_posterior_csv,
 )
 from .em import (
     EmConfig,
@@ -49,17 +50,7 @@ def _load_json(path) -> dict:
 
 def _synth_config_from(doc: dict) -> SynthConfig:
     try:
-        return SynthConfig(
-            dataset_kind=doc["dataset_kind"],
-            n_source=int(doc["n_source"]),
-            n_target=int(doc["n_target"]),
-            d_z=int(doc.get("d_z", 5)),
-            d_x=int(doc.get("d_x", 10)),
-            source_cond_prob=float(doc.get("source_cond_prob", 0.05)),
-            shift_slope=float(doc.get("shift_slope", 0.0)),
-            target_prior=float(doc.get("target_prior", 0.05)),
-            seed=int(doc.get("seed", 0)),
-        )
+        return SynthConfig(**bench.config_fields(SynthConfig, doc))
     except KeyError as exc:
         raise ValidationError(f"generation config missing field: {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -79,14 +70,7 @@ def cmd_generate(args) -> int:
             if y is None:
                 raise ValidationError(f"{doc['input_csv']}: resample input must be labeled")
             base = LabeledDataset(z=z, x=x, y=y)
-            proto = ShiftProtocolConfig(
-                base_rate=float(doc["base_rate"]),
-                shift_delta=float(doc["shift_delta"]),
-                n_source=int(doc["n_source"]),
-                n_target=int(doc["n_target"]),
-                conditioning_column=int(doc.get("conditioning_column", 0)),
-                seed=int(doc.get("seed", 0)),
-            )
+            proto = ShiftProtocolConfig(**bench.config_fields(ShiftProtocolConfig, doc))
         except KeyError as exc:
             raise ValidationError(f"generation config missing field: {exc}") from None
         source, target = induce_conditional_shift(base, proto)
@@ -120,15 +104,14 @@ def cmd_adapt(args) -> int:
         )
     target = UnlabeledDataset(z=z_t, x=x_t)
 
-    fit_config = FitConfig(seed=args.seed)
+    fit_config = FitConfig()
     em_config = EmConfig(
         max_em_iters=args.max_em_iters if args.method != "naive" else 0,
         em_tolerance=args.em_tolerance,
     )
     posterior_model = fit_hard(source_data, fit_config, feature_block="zx")
     if args.method == "mlls":
-        counts = np.bincount(source_data.y, minlength=source_data.n_classes + 1)[1:]
-        fit = fit_mlls(posterior_model, counts / counts.sum(), target, em_config)
+        fit = fit_mlls(posterior_model, source_data.class_prior(), target, em_config)
     else:
         models = SourceModels(
             posterior_model=posterior_model,
@@ -139,21 +122,11 @@ def cmd_adapt(args) -> int:
     json_path = f"{args.output}.fit.json"
     posterior_path = f"{args.output}.posterior.csv"
     save_fit_json(json_path, fit)
-    _write_posterior_csv(posterior_path, fit.target_posterior)
+    write_posterior_csv(posterior_path, fit.target_posterior)
     print(f"method={args.method} iterations={fit.iterations_run} "
           f"estimated_prior={fit.estimated_prior.round(6).tolist()}")
     print(f"wrote {json_path} and {posterior_path}")
     return EXIT_OK
-
-
-def _write_posterior_csv(path, posterior: np.ndarray) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"p{j}" for j in range(1, posterior.shape[1] + 1)])
-        for row in posterior:
-            writer.writerow([repr(float(v)) for v in row])
 
 
 def cmd_benchmark(args) -> int:
@@ -182,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     adapt.add_argument("source", help="labeled source CSV")
     adapt.add_argument("target", help="unlabeled target CSV (empty y cells)")
     adapt.add_argument("--method", choices=["naive", "mlls", "cpsm"], default="cpsm")
-    adapt.add_argument("--seed", type=int, default=0)
     adapt.add_argument("--max-em-iters", type=int, default=EmConfig().max_em_iters)
     adapt.add_argument("--em-tolerance", type=float, default=EmConfig().em_tolerance)
     adapt.add_argument("--output", default="adapt", help="output prefix for .fit.json/.posterior.csv")

@@ -15,13 +15,24 @@ import numpy as np
 from .errors import ValidationError
 
 
-def _as_float_matrix(arr, name: str) -> np.ndarray:
+def as_float_matrix(arr, name: str) -> np.ndarray:
+    """`arr` as a 2-D float matrix with finite entries."""
     out = np.asarray(arr, dtype=float)
     if out.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
     if out.size and not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite values")
     return out
+
+
+def check_sample_weights(weights, n_rows: int) -> np.ndarray:
+    """Per-row weights as a finite, nonnegative float vector of length `n_rows`."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n_rows,):
+        raise ValidationError("sample_weights length must match rows")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValidationError("sample_weights must be finite and nonnegative")
+    return w
 
 
 def _as_label_vector(arr) -> np.ndarray:
@@ -39,65 +50,6 @@ def _as_label_vector(arr) -> np.ndarray:
 
 
 @dataclass
-class LabeledDataset:
-    """Feature blocks plus integer labels in {1..K}.
-
-    ``sample_weights`` are optional nonnegative per-row weights used by
-    hard-label fitting.
-    """
-
-    z: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    sample_weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.z = _as_float_matrix(self.z, "z")
-        self.x = _as_float_matrix(self.x, "x")
-        self.y = _as_label_vector(self.y)
-        n = self.y.shape[0]
-        if self.z.shape[0] != n or self.x.shape[0] != n:
-            raise ValidationError(
-                f"row mismatch: z has {self.z.shape[0]}, x has {self.x.shape[0]}, y has {n}"
-            )
-        if self.sample_weights is not None:
-            w = np.asarray(self.sample_weights, dtype=float)
-            if w.shape != (n,):
-                raise ValidationError("sample_weights length must match rows")
-            if np.any(w < 0) or not np.all(np.isfinite(w)):
-                raise ValidationError("sample_weights must be finite and nonnegative")
-            self.sample_weights = w
-
-    @property
-    def n_rows(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def d_z(self) -> int:
-        return self.z.shape[1]
-
-    @property
-    def d_x(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.y.max())
-
-    def features(self, block: str = "zx") -> np.ndarray:
-        """Select a feature block: "z" or the stacked "zx"."""
-        if block == "z":
-            return self.z
-        if block == "zx":
-            return np.hstack([self.z, self.x])
-        raise ValidationError(f"unknown feature block {block!r}, expected 'z' or 'zx'")
-
-    def unlabeled(self) -> "UnlabeledDataset":
-        """The same rows with labels dropped."""
-        return UnlabeledDataset(z=self.z, x=self.x)
-
-
-@dataclass
 class UnlabeledDataset:
     """Feature blocks without labels (the deployment-side view)."""
 
@@ -105,8 +57,8 @@ class UnlabeledDataset:
     x: np.ndarray
 
     def __post_init__(self):
-        self.z = _as_float_matrix(self.z, "z")
-        self.x = _as_float_matrix(self.x, "x")
+        self.z = as_float_matrix(self.z, "z")
+        self.x = as_float_matrix(self.x, "x")
         if self.z.shape[0] != self.x.shape[0]:
             raise ValidationError(
                 f"row mismatch: z has {self.z.shape[0]}, x has {self.x.shape[0]}"
@@ -125,11 +77,48 @@ class UnlabeledDataset:
         return self.x.shape[1]
 
     def features(self, block: str = "zx") -> np.ndarray:
+        """Select a feature block: "z" or the stacked "zx"."""
         if block == "z":
             return self.z
         if block == "zx":
             return np.hstack([self.z, self.x])
         raise ValidationError(f"unknown feature block {block!r}, expected 'z' or 'zx'")
+
+
+@dataclass
+class LabeledDataset(UnlabeledDataset):
+    """Feature blocks plus integer labels in {1..K}.
+
+    ``sample_weights`` are optional nonnegative per-row weights used by
+    hard-label fitting.
+    """
+
+    y: np.ndarray
+    sample_weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.y = _as_label_vector(self.y)
+        n = self.y.shape[0]
+        if self.n_rows != n:
+            raise ValidationError(
+                f"row mismatch: z has {self.z.shape[0]}, x has {self.x.shape[0]}, y has {n}"
+            )
+        if self.sample_weights is not None:
+            self.sample_weights = check_sample_weights(self.sample_weights, n)
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.y.max())
+
+    def class_prior(self) -> np.ndarray:
+        """Empirical frequencies of the labels 1..K."""
+        counts = np.bincount(self.y, minlength=self.n_classes + 1)[1:]
+        return counts / counts.sum()
+
+    def unlabeled(self) -> UnlabeledDataset:
+        """The same rows with labels dropped."""
+        return UnlabeledDataset(z=self.z, x=self.x)
 
 
 def dataset_header(d_z: int, d_x: int) -> list[str]:
@@ -158,6 +147,15 @@ def write_labels_csv(path, y: np.ndarray) -> None:
         writer.writerow(["y"])
         for v in y:
             writer.writerow([str(int(v))])
+
+
+def write_posterior_csv(path, posterior: np.ndarray) -> None:
+    """Write an (n, K) posterior as columns ``p1..pK``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"p{j}" for j in range(1, posterior.shape[1] + 1)])
+        for row in posterior:
+            writer.writerow([repr(float(v)) for v in row])
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -239,3 +237,4 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     if n_labeled != n:
         raise ValidationError(f"{path}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)")
     return z, x, np.asarray(labels, dtype=int)
+

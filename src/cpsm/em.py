@@ -21,7 +21,6 @@ from .errors import NumericalError, ValidationError
 from .softmax import (
     FitConfig,
     SoftmaxParams,
-    check_soft_targets,
     clamp_probs,
     fit_soft,
     predict_proba,
@@ -97,6 +96,15 @@ def _check_target(source: SourceModels, target: UnlabeledDataset) -> None:
         )
 
 
+def _source_probs(source: SourceModels, target: UnlabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped source posteriors p(y | z, x) and conditionals p(y | z) on the
+    target rows."""
+    _check_target(source, target)
+    p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
+    p_z = clamp_probs(predict_proba(source.conditional_model, target.z))
+    return p_xz, p_z
+
+
 def _responsibilities(
     p_xz: np.ndarray, p_z: np.ndarray, theta: SoftmaxParams, z: np.ndarray
 ) -> AdjustResult:
@@ -106,11 +114,9 @@ def _responsibilities(
 
 def e_step(source: SourceModels, target: UnlabeledDataset, theta: SoftmaxParams) -> np.ndarray:
     """Target responsibilities under the current shifted conditional model."""
-    _check_target(source, target)
     if theta.n_classes != source.n_classes or theta.n_features != target.d_z:
         raise ValidationError("theta does not match source models / target dimensions")
-    p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
-    p_z = clamp_probs(predict_proba(source.conditional_model, target.z))
+    p_xz, p_z = _source_probs(source, target)
     return _responsibilities(p_xz, p_z, theta, target.z).posterior
 
 
@@ -121,8 +127,7 @@ def m_step(
     init: SoftmaxParams | None = None,
 ) -> SoftmaxParams:
     """Refit the shifted conditional model on soft responsibilities."""
-    resp = check_soft_targets(responsibilities)
-    return fit_soft(target_z, resp, inner, init=init)
+    return fit_soft(target_z, responsibilities, inner, init=init)
 
 
 def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -> CpsmFit:
@@ -132,33 +137,27 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
     target with no shift is a fixed point. Stops when the surrogate improves
     by less than `em_tolerance` or after `max_em_iters` rounds.
     """
-    _check_target(source, target)
-    p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
-    p_z = clamp_probs(predict_proba(source.conditional_model, target.z))
+    p_xz, p_z = _source_probs(source, target)
     z = target.z
 
     theta = source.conditional_model
-    result = _responsibilities(p_xz, p_z, theta, z)
-    trace = [float(np.log(result.row_normalizer).sum())]
-    if not np.isfinite(trace[0]):
-        raise NumericalError("non-finite surrogate log-likelihood at iteration 0")
-    iterations_run = 0
-    for it in range(1, config.max_em_iters + 1):
-        theta = m_step(z, result.posterior, config.inner, init=theta)
+    trace: list[float] = []
+    for it in range(config.max_em_iters + 1):
+        if it > 0:
+            theta = m_step(z, result.posterior, config.inner, init=theta)
         result = _responsibilities(p_xz, p_z, theta, z)
         value = float(np.log(result.row_normalizer).sum())
         if not np.isfinite(value):
             raise NumericalError(f"non-finite surrogate log-likelihood at iteration {it}")
         trace.append(value)
-        iterations_run = it
-        if value - trace[-2] < config.em_tolerance:
+        if it > 0 and value - trace[-2] < config.em_tolerance:
             break
     posterior = result.posterior
     return CpsmFit(
         theta_hat=theta,
         target_posterior=posterior,
         loglik_trace=np.asarray(trace),
-        iterations_run=iterations_run,
+        iterations_run=len(trace) - 1,
         estimated_prior=posterior.mean(axis=0),
     )
 

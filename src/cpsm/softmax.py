@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledDataset
+from .adjust import check_posterior
+from .data import LabeledDataset, as_float_matrix, check_sample_weights
 from .errors import NumericalError, ValidationError
 
 PROB_EPS = 1e-12
@@ -84,14 +85,12 @@ class SoftmaxParams:
 
 @dataclass
 class FitConfig:
-    """Solver settings; `seed` is kept for config fingerprinting, the solver
-    itself is deterministic from a zero or warm start."""
+    """Solver settings; the solver is deterministic from a zero or warm start."""
 
     max_iters: int = 2000
     step_size: float = 0.1
     tolerance: float = 1e-7
     l2_penalty: float = 1e-6
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -105,24 +104,19 @@ class FitConfig:
 
 
 def _check_features(features, n_features: int) -> np.ndarray:
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2:
-        raise ValidationError(f"features must be 2-D, got ndim={feats.ndim}")
+    feats = as_float_matrix(features, "features")
     if feats.shape[1] != n_features:
         raise ValidationError(
             f"feature dimension mismatch: model expects {n_features}, got {feats.shape[1]}"
         )
-    if feats.size and not np.all(np.isfinite(feats)):
-        raise ValidationError("features contain non-finite values")
     return feats
 
 
-def predict_proba(params: SoftmaxParams, features) -> np.ndarray:
-    """Row-stochastic (n, K) class probabilities, max-shifted for stability."""
-    feats = _check_features(features, params.n_features)
-    n = feats.shape[0]
-    scores = np.empty((n, params.n_classes))
-    scores[:, :-1] = feats @ params.slopes.T + params.intercepts
+def _softmax(head: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of the scores [head | 0], max-shifted for stability;
+    `head` holds the (n, K-1) scores of the non-reference classes."""
+    scores = np.empty((head.shape[0], head.shape[1] + 1))
+    scores[:, :-1] = head
     scores[:, -1] = 0.0
     scores -= scores.max(axis=1, keepdims=True)
     np.exp(scores, out=scores)
@@ -130,36 +124,18 @@ def predict_proba(params: SoftmaxParams, features) -> np.ndarray:
     return scores
 
 
-def check_soft_targets(targets, n_rows: int | None = None) -> np.ndarray:
-    """Validate an (n, K) row-stochastic target matrix."""
-    t = np.asarray(targets, dtype=float)
-    if t.ndim != 2 or t.shape[1] < 2:
-        raise ValidationError("soft targets must be an (n, K>=2) matrix")
-    if n_rows is not None and t.shape[0] != n_rows:
-        raise ValidationError(f"soft targets have {t.shape[0]} rows, expected {n_rows}")
-    if np.any(t < -1e-12) or np.any(t > 1.0 + 1e-12):
-        raise ValidationError("soft target entries must lie in [0, 1]")
-    sums = t.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-    if bad.size:
-        raise ValidationError(
-            f"soft target row {bad[0]} sums to {sums[bad[0]]!r}, must be 1 within 1e-9"
-        )
-    return t
+def predict_proba(params: SoftmaxParams, features) -> np.ndarray:
+    """Row-stochastic (n, K) class probabilities."""
+    feats = _check_features(features, params.n_features)
+    return _softmax(feats @ params.slopes.T + params.intercepts)
+
+
+def _augment(feats: np.ndarray) -> np.ndarray:
+    """[1 | feats]: the column of ones carries the intercepts."""
+    return np.hstack([np.ones((feats.shape[0], 1)), feats])
 
 
 _LOG_EPS = float(np.log(PROB_EPS))
-
-
-def _probs_from_weights(aug: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = aug.shape[0]
-    scores = np.empty((n, w.shape[0] + 1))
-    scores[:, :-1] = aug @ w.T
-    scores[:, -1] = 0.0
-    scores -= scores.max(axis=1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
-    return scores
 
 
 def _objective(w, aug, targets, weights, l2):
@@ -177,7 +153,7 @@ def _objective(w, aug, targets, weights, l2):
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
         cache = np.exp(log_p1)
     else:
-        probs = _probs_from_weights(aug, w)
+        probs = _softmax(aug @ w.T)
         value = float(np.sum(weights[:, None] * targets * np.log(clamp_probs(probs))))
         cache = probs
     if l2 > 0:
@@ -221,8 +197,6 @@ def _maximize(aug, targets, weights, config: FitConfig, w0: np.ndarray):
     if not np.isfinite(obj):
         raise NumericalError("non-finite objective at initialization")
     trace = [obj]
-    if w.size == 0:
-        return w, trace
     g = _gradient(w, aug, targets, probs, weights, config.l2_penalty)
     s_hist: list = []
     y_hist: list = []
@@ -289,22 +263,11 @@ def fit_soft(
     `init` warm-starts the solver; `_trace` collects objective values for
     diagnostics.
     """
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 2:
-        raise ValidationError("features must be 2-D")
-    if feats.size and not np.all(np.isfinite(feats)):
-        raise ValidationError("features contain non-finite values")
-    t = check_soft_targets(targets, n_rows=feats.shape[0])
+    feats = as_float_matrix(features, "features")
+    t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
     n, d = feats.shape
     n_classes = t.shape[1]
-    if sample_weights is None:
-        weights = np.ones(n)
-    else:
-        weights = np.asarray(sample_weights, dtype=float)
-        if weights.shape != (n,):
-            raise ValidationError("sample_weights length must match rows")
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-            raise ValidationError("sample_weights must be finite and nonnegative")
+    weights = np.ones(n) if sample_weights is None else check_sample_weights(sample_weights, n)
     if init is None:
         w0 = np.zeros((n_classes - 1, 1 + d))
     else:
@@ -314,8 +277,7 @@ def fit_soft(
                 f"problem ({n_classes}, {d})"
             )
         w0 = init.weight_matrix()
-    aug = np.hstack([np.ones((n, 1)), feats])
-    w, trace = _maximize(aug, t, weights, config, w0)
+    w, trace = _maximize(_augment(feats), t, weights, config, w0)
     if _trace is not None:
         _trace.extend(trace)
     return SoftmaxParams.from_weight_matrix(n_classes, w)
@@ -337,28 +299,28 @@ def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx")
     return fit_soft(feats, targets, config, sample_weights=data.sample_weights)
 
 
-def log_likelihood(params: SoftmaxParams, features, targets) -> float:
-    """Soft-target log-likelihood of the model on the given rows."""
+def _unit_weight_problem(params: SoftmaxParams, features, targets):
+    """Validated (w, aug, targets, weights) for the solver's objective with
+    every row weighted 1."""
     feats = _check_features(features, params.n_features)
-    t = check_soft_targets(targets, n_rows=feats.shape[0])
+    t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
     if t.shape[1] != params.n_classes:
         raise ValidationError(
             f"targets have {t.shape[1]} classes, model has {params.n_classes}"
         )
-    probs = predict_proba(params, feats)
-    return float(np.sum(t * np.log(clamp_probs(probs))))
+    return params.weight_matrix(), _augment(feats), t, np.ones(feats.shape[0])
+
+
+def log_likelihood(params: SoftmaxParams, features, targets) -> float:
+    """Soft-target log-likelihood of the model on the given rows: the
+    solver's objective with unit weights and no ridge."""
+    return _objective(*_unit_weight_problem(params, features, targets), 0.0)[0]
 
 
 def log_likelihood_grad(params: SoftmaxParams, features, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradient of `log_likelihood` as (d_intercepts, d_slopes)."""
-    feats = _check_features(features, params.n_features)
-    t = check_soft_targets(targets, n_rows=feats.shape[0])
-    if t.shape[1] != params.n_classes:
-        raise ValidationError(
-            f"targets have {t.shape[1]} classes, model has {params.n_classes}"
-        )
-    probs = predict_proba(params, feats)
-    resid = t[:, :-1] - probs[:, :-1]
-    aug = np.hstack([np.ones((feats.shape[0], 1)), feats])
-    g = resid.T @ aug
+    """Analytic gradient of `log_likelihood` as (d_intercepts, d_slopes): the
+    solver's gradient with unit weights and no ridge."""
+    w, aug, t, weights = _unit_weight_problem(params, features, targets)
+    _, cache = _objective(w, aug, t, weights, 0.0)
+    g = _gradient(w, aug, t, cache, weights, 0.0)
     return g[:, 0], g[:, 1:]

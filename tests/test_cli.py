@@ -1,11 +1,17 @@
 import csv
 import json
 
+import dataclasses
+
 import numpy as np
 
+from cpsm import bench
 from cpsm.bench import read_metrics_csv
 from cpsm.cli import main
 from cpsm.data import read_dataset_csv
+from cpsm.em import EmConfig
+from cpsm.softmax import FitConfig
+from cpsm.synth import SynthConfig
 
 
 def _write_json(path, doc):
@@ -105,7 +111,7 @@ def test_adapt_naive_equals_zero_iteration_cpsm(tmp_path):
 def test_adapt_rerun_is_identical(tmp_path):
     source, target = _generated_pair(tmp_path)
     for name in ("one", "two"):
-        assert main(["adapt", source, target, "--method", "cpsm", "--seed", "5",
+        assert main(["adapt", source, target, "--method", "cpsm",
                      "--output", str(tmp_path / name)]) == 0
     assert (tmp_path / "one.fit.json").read_bytes() == (tmp_path / "two.fit.json").read_bytes()
     assert (
@@ -251,3 +257,31 @@ def test_benchmark_unknown_method_exits_2(tmp_path, capsys):
     config = _bench_config(tmp_path, name="badm", methods=["naive", "bogus"])
     assert main(["benchmark", config]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_benchmark_config_defaults_come_from_the_config_classes(monkeypatch):
+    doc = {
+        "generator": {"dataset_kind": "gaussian_z"},
+        "methods": ["cpsm"],
+        "grid": {"a": [0.3], "k": [1.0], "n": [50]},
+        "repetitions": 1,
+        "base_seed": 4,
+        "output_path": "unused.csv",
+    }
+    config = bench.experiment_config_from_dict(doc)
+    assert config.fit == FitConfig()
+    assert config.em == EmConfig()
+    monkeypatch.setattr(bench, "generate_pair", lambda synth: synth)
+    assert bench._generate(config, None, 0.3, 1.0, 50, 4) == SynthConfig(
+        dataset_kind="gaussian_z", n_source=50, n_target=50,
+        shift_slope=1.0, target_prior=0.3, seed=4,
+    )
+
+    # A partial inner block keeps the M-step defaults (200 iterations, no
+    # ridge), and keys naming no setting, such as a fit seed, are ignored.
+    doc["em"] = {"inner": {"tolerance": 1e-6}}
+    doc["fit"] = {"seed": 5, "max_iters": 50}
+    config = bench.experiment_config_from_dict(doc)
+    assert config.em.inner == dataclasses.replace(EmConfig().inner, tolerance=1e-6)
+    assert config.em.inner.max_iters == 200 and config.em.inner.l2_penalty == 0.0
+    assert config.fit == FitConfig(max_iters=50)

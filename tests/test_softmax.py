@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cpsm import LabeledDataset, SoftmaxParams, ValidationError, predict_proba
 from cpsm.softmax import (
     FitConfig,
+    _gradient,
+    _objective,
     fit_hard,
     fit_soft,
     log_likelihood,
@@ -195,6 +197,29 @@ def test_gradient_matches_central_differences():
         numeric = finite_difference_gradient(value, flat0)
         rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
         assert rel < 1e-5
+
+
+def test_binary_fast_path_matches_general_formula():
+    # The two-class objective runs on flat logaddexp scores; check its value
+    # and gradient against the K-class formulas on the same inputs.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(1, 60))
+        d = int(rng.integers(0, 6))
+        feats = rng.standard_normal((n, d))
+        aug = np.hstack([np.ones((n, 1)), feats])
+        targets = rng.random((n, 2)) + 0.05
+        targets /= targets.sum(axis=1, keepdims=True)
+        weights = rng.random(n) * 2.0
+        w = rng.standard_normal((1, 1 + d))
+        probs = predict_proba(SoftmaxParams.from_weight_matrix(2, w), feats)
+        value, cache = _objective(w, aug, targets, weights, 0.0)
+        grad = _gradient(w, aug, targets, cache, weights, 0.0)
+        ref_value = float(np.sum(weights[:, None] * targets * np.log(probs)))
+        ref_grad = ((targets[:, :1] - probs[:, :1]) * weights[:, None]).T @ aug
+        assert abs(value - ref_value) <= 1e-10 * abs(ref_value)
+        assert grad.shape == ref_grad.shape
+        assert np.linalg.norm(grad - ref_grad) <= 1e-10 * max(np.linalg.norm(ref_grad), 1e-12)
 
 
 @pytest.mark.parametrize("l2", [0.0, 1e-3])
