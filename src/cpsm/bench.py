@@ -1,13 +1,17 @@
-"""Grid benchmark harness: generators x methods x repetitions to a metrics CSV.
+"""Run driver of the CLI commands: generator blocks, the adaptation methods
+and the grid benchmark.
 
 Each grid cell (a, k, n) is run `repetitions` times; the run seed is
 base_seed plus the flat run index, so any single run can be reproduced in
-isolation. All methods within a run see the same generated pair. A failing
-run is recorded as a row with NaN metrics and the sweep continues.
+isolation. All methods within a run see the same generated pair. A config
+that no run can use is rejected before the first run; a run that fails on
+its data is recorded as a row with NaN metrics and the sweep continues.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import sys
 import time
 import typing
@@ -15,14 +19,15 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import LabeledDataset, read_dataset_csv
-from .em import EmConfig, fit_cpsm, fit_mlls, naive_posterior, SourceModels
+from .data import LabeledDataset, UnlabeledDataset, read_labeled_csv, write_csv
+from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
 from .errors import CpsmError, ValidationError
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
-from .softmax import FitConfig, fit_hard
+from .softmax import FitConfig, SoftmaxParams, fit_hard
 from .synth import ShiftProtocolConfig, SynthConfig, induce_conditional_shift, generate_pair
 
-METHODS = ("naive", "mlls", "cpsm", "oracle")
+ADAPT_METHODS = ("naive", "mlls", "cpsm")
+METHODS = ADAPT_METHODS + ("oracle",)
 METRICS_HEADER = [
     "method",
     "a",
@@ -45,32 +50,97 @@ AGGREGATE_HEADER = [
     "approx_error_std",
 ]
 
+# Per generator kind: its config class, and the fields that a benchmark run
+# sets from its (a, k, n, n, seed); a generator block sets only the others.
+_KINDS = {
+    "synthetic": (SynthConfig, ("target_prior", "shift_slope", "n_source", "n_target", "seed")),
+    "resample": (ShiftProtocolConfig, ("base_rate", "shift_delta", "n_source", "n_target", "seed")),
+}
 
-# Generator fields that each grid cell or run fills in; a generator block
-# sets only the others.
-_SYNTH_CELL_FIELDS = ("n_source", "n_target", "shift_slope", "target_prior", "seed")
-_RESAMPLE_CELL_FIELDS = ("base_rate", "shift_delta", "n_source", "n_target", "seed")
+
+@contextlib.contextmanager
+def _config_errors(what: str):
+    """Report a key missing from a JSON config, or a value of the wrong type
+    or form, as a ValidationError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what} missing field: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} malformed: {exc}") from None
 
 
-@dataclass
-class SyntheticGeneratorSpec:
-    """`SynthConfig` keyword arguments shared by every run of the grid."""
+def _as_object(doc):
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
 
+
+def config_fields(cls, doc: dict, supplied=()) -> dict:
+    """Keyword arguments for the config dataclass `cls` read from a JSON object.
+
+    A key naming an int or float field is converted to that type, other
+    values are taken as they are. A field the document omits is left out,
+    so the dataclass default applies; a required one raises KeyError.
+    Fields named in `supplied`, which the caller fills in, and keys naming
+    no field are ignored. A document that is not an object raises TypeError.
+    """
+    _as_object(doc)
+    types = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        if f.name in supplied:
+            continue
+        if f.name in doc:
+            value = doc[f.name]
+            out[f.name] = types[f.name](value) if types[f.name] in (int, float) else value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return out
+
+
+@dataclass(frozen=True)
+class Generator:
+    """A parsed generator block: its kind, the config fields it sets and,
+    for the resample kind, the labeled input it draws from."""
+
+    kind: str
     settings: dict
+    base: LabeledDataset | None = None
+
+    def config(self, **run) -> SynthConfig | ShiftProtocolConfig:
+        """The kind's config from the block's fields plus the per-run `run`,
+        checked against the resample input."""
+        config = _KINDS[self.kind][0](**self.settings, **run)
+        if self.base is not None:
+            config.check_input(self.base)
+        return config
+
+    def pair(self, **run) -> tuple[LabeledDataset, LabeledDataset]:
+        """A (source, target) pair; target labels are for evaluation only."""
+        config = self.config(**run)
+        if self.base is None:
+            return generate_pair(config)
+        return induce_conditional_shift(self.base, config)
 
 
-@dataclass
-class ResampleGeneratorSpec:
-    """The labeled input plus `ShiftProtocolConfig` keyword arguments shared
-    by every run of the grid."""
-
-    input_csv: str
-    settings: dict
+def parse_generator(doc, grid: bool = False) -> Generator:
+    """Read and check a generator block. With `grid`, each benchmark run
+    supplies the per-run fields, and the block's own values for them are
+    ignored."""
+    with _config_errors("benchmark config" if grid else "generation config"):
+        kind = _as_object(doc).get("kind", "synthetic")
+        if kind not in _KINDS:
+            raise ValidationError(f"unknown generator kind {kind!r}")
+        cls, run_fields = _KINDS[kind]
+        settings = config_fields(cls, doc, supplied=run_fields if grid else ())
+        base = read_labeled_csv(doc["input_csv"], "resample input") if kind == "resample" else None
+    return Generator(kind, settings, base)
 
 
 @dataclass
 class ExperimentConfig:
-    generator: SyntheticGeneratorSpec | ResampleGeneratorSpec
+    generator: Generator
     methods: list[str]
     grid_a: list[float]
     grid_k: list[float]
@@ -93,28 +163,17 @@ class ExperimentConfig:
             raise ValidationError("grid lists must be nonempty")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
+        for _, run in self.runs():
+            self.generator.config(**run)
 
-
-def config_fields(cls, doc: dict, supplied=()) -> dict:
-    """Keyword arguments for the config dataclass `cls` read from a JSON object.
-
-    A key naming an int or float field is converted to that type, other
-    values are taken as they are. A field the document omits is left out,
-    so the dataclass default applies; a required one raises KeyError.
-    Fields named in `supplied`, which the caller fills in, and keys naming
-    no field are ignored.
-    """
-    types = typing.get_type_hints(cls)
-    out = {}
-    for f in fields(cls):
-        if f.name in supplied:
-            continue
-        if f.name in doc:
-            value = doc[f.name]
-            out[f.name] = types[f.name](value) if types[f.name] in (int, float) else value
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise KeyError(f.name)
-    return out
+    def runs(self):
+        """Each run in order as ((a, k, n, seed), the generator fields it sets)."""
+        run_fields = _KINDS[self.generator.kind][1]
+        cells = [(a, k, n) for a in self.grid_a for k in self.grid_k for n in self.grid_n]
+        for cell_index, (a, k, n) in enumerate(cells):
+            for rep in range(self.repetitions):
+                seed = self.base_seed + cell_index * self.repetitions + rep
+                yield (a, k, n, seed), dict(zip(run_fields, (a, k, n, n, seed)))
 
 
 def _em_config_from(doc: dict) -> EmConfig:
@@ -126,26 +185,12 @@ def _em_config_from(doc: dict) -> EmConfig:
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
-    """Parse and validate the benchmark JSON document."""
-    try:
-        gen_doc = doc["generator"]
-        kind = gen_doc.get("kind", "synthetic")
-        if kind == "synthetic":
-            generator = SyntheticGeneratorSpec(
-                config_fields(SynthConfig, gen_doc, supplied=_SYNTH_CELL_FIELDS)
-            )
-        elif kind == "resample":
-            generator = ResampleGeneratorSpec(
-                input_csv=gen_doc["input_csv"],
-                settings=config_fields(
-                    ShiftProtocolConfig, gen_doc, supplied=_RESAMPLE_CELL_FIELDS
-                ),
-            )
-        else:
-            raise ValidationError(f"unknown generator kind {kind!r}")
+    """Parse and validate the benchmark JSON document, including the
+    generator config of every run."""
+    with _config_errors("benchmark config"):
         grid = doc["grid"]
         return ExperimentConfig(
-            generator=generator,
+            generator=parse_generator(doc["generator"], grid=True),
             methods=list(doc["methods"]),
             grid_a=[float(v) for v in grid["a"]],
             grid_k=[float(v) for v in grid["k"]],
@@ -158,34 +203,38 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             em=_em_config_from(doc.get("em", {})),
             fit=FitConfig(**config_fields(FitConfig, doc.get("fit", {}))),
         )
-    except KeyError as exc:
-        raise ValidationError(f"benchmark config missing field: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"benchmark config malformed: {exc}") from None
 
 
-def _generate(config: ExperimentConfig, base_data, a: float, k: float, n: int, seed: int):
-    gen = config.generator
-    if isinstance(gen, SyntheticGeneratorSpec):
-        return generate_pair(
-            SynthConfig(
-                n_source=n,
-                n_target=n,
-                shift_slope=k,
-                target_prior=a,
-                seed=seed,
-                **gen.settings,
-            )
+@dataclass
+class SourceFit:
+    """A labeled source and its models, each fitted on first use and then
+    shared by every method; the prior-only correction needs no z-model."""
+
+    data: LabeledDataset
+    fit: FitConfig
+
+    @functools.cached_property
+    def posterior_model(self) -> SoftmaxParams:
+        return fit_hard(self.data, self.fit, feature_block="zx")
+
+    @functools.cached_property
+    def models(self) -> SourceModels:
+        return SourceModels(
+            posterior_model=self.posterior_model,
+            conditional_model=fit_hard(self.data, self.fit, feature_block="z"),
         )
-    proto = ShiftProtocolConfig(
-        base_rate=a,
-        shift_delta=k,
-        n_source=n,
-        n_target=n,
-        seed=seed,
-        **gen.settings,
-    )
-    return induce_conditional_shift(base_data, proto)
+
+
+def adapt(method: str, source: SourceFit, target: UnlabeledDataset, em: EmConfig) -> CpsmFit:
+    """One adaptation method on the target rows. `naive` is the zero-round
+    EM, which reproduces the uncorrected source posterior."""
+    if method == "mlls":
+        return fit_mlls(source.posterior_model, source.data.class_prior(), target, em)
+    if method == "naive":
+        em = replace(em, max_em_iters=0)
+    elif method != "cpsm":
+        raise ValidationError(f"unknown method {method!r}, expected one of {ADAPT_METHODS}")
+    return fit_cpsm(source.models, target, em)
 
 
 def run_single(
@@ -206,10 +255,8 @@ def run_single(
         raise ValidationError("benchmark supports binary labels only")
     clock = time.perf_counter if measure_wall_clock else (lambda: 0.0)
     unlabeled = target.unlabeled()
-    models = SourceModels(
-        posterior_model=fit_hard(source, fit, feature_block="zx"),
-        conditional_model=fit_hard(source, fit, feature_block="z"),
-    )
+    source_fit = SourceFit(source, fit)
+    source_fit.models  # both source fits, before any method is timed
     t0 = clock()
     oracle_posterior = fit_oracle(target, fit)
     oracle_seconds = clock() - t0
@@ -217,19 +264,11 @@ def run_single(
     out = {}
     for method in methods:
         t0 = clock()
-        if method == "naive":
-            posterior = naive_posterior(models, unlabeled)
-        elif method == "mlls":
-            posterior = fit_mlls(
-                models.posterior_model, source.class_prior(), unlabeled, em
-            ).target_posterior
-        elif method == "cpsm":
-            posterior = fit_cpsm(models, unlabeled, em).target_posterior
-        elif method == "oracle":
-            posterior = oracle_posterior
+        if method == "oracle":
+            posterior, seconds = oracle_posterior, oracle_seconds
         else:
-            raise ValidationError(f"unknown method {method!r}")
-        seconds = oracle_seconds if method == "oracle" else clock() - t0
+            posterior = adapt(method, source_fit, unlabeled, em).target_posterior
+            seconds = clock() - t0
         # Headline accuracy uses the plain Bayes rule for every method; the
         # uncorrected baseline gets no threshold adjustment either, which is
         # what makes shift costly for it.
@@ -241,35 +280,25 @@ def run_single(
 
 def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
     """Execute the grid, write the metrics CSV (and optional aggregate CSV)."""
-    base_data = None
-    if isinstance(config.generator, ResampleGeneratorSpec):
-        z, x, y = read_dataset_csv(config.generator.input_csv)
-        if y is None:
-            raise ValidationError(f"{config.generator.input_csv}: resample input must be labeled")
-        base_data = LabeledDataset(z=z, x=x, y=y)
-
-    cells = [(a, k, n) for a in config.grid_a for k in config.grid_k for n in config.grid_n]
     rows: list[MetricRow] = []
-    for cell_index, (a, k, n) in enumerate(cells):
-        for rep in range(config.repetitions):
-            seed = config.base_seed + cell_index * config.repetitions + rep
-            try:
-                source, target = _generate(config, base_data, a, k, n, seed)
-                results = run_single(
-                    source, target, config.methods, config.em, config.fit,
-                    config.measure_wall_clock,
-                )
-                for method in config.methods:
-                    ba, err, seconds = results[method]
-                    rows.append(MetricRow(method, a, k, n, seed, ba, err, seconds))
-            except CpsmError as exc:
-                print(
-                    f"benchmark: run failed (a={a}, k={k}, n={n}, seed={seed}): {exc}",
-                    file=sys.stderr,
-                )
-                nan = float("nan")
-                for method in config.methods:
-                    rows.append(MetricRow(method, a, k, n, seed, nan, nan, nan))
+    for (a, k, n, seed), run in config.runs():
+        try:
+            source, target = config.generator.pair(**run)
+            results = run_single(
+                source, target, config.methods, config.em, config.fit,
+                config.measure_wall_clock,
+            )
+            for method in config.methods:
+                ba, err, seconds = results[method]
+                rows.append(MetricRow(method, a, k, n, seed, ba, err, seconds))
+        except CpsmError as exc:
+            print(
+                f"benchmark: run failed (a={a}, k={k}, n={n}, seed={seed}): {exc}",
+                file=sys.stderr,
+            )
+            nan = float("nan")
+            for method in config.methods:
+                rows.append(MetricRow(method, a, k, n, seed, nan, nan, nan))
     rows.sort(key=lambda r: (r.a, r.k, r.n, r.method, r.seed))
     write_metrics_csv(config.output_path, rows)
     if config.aggregate_path:
@@ -278,22 +307,23 @@ def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
 
 
 def write_metrics_csv(path, rows: list[MetricRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.method,
-                    repr(float(r.a)),
-                    repr(float(r.k)),
-                    str(r.n),
-                    str(r.seed),
-                    repr(float(r.balanced_accuracy)),
-                    repr(float(r.approx_error)),
-                    repr(float(r.wall_clock_seconds)),
-                ]
-            )
+    write_csv(
+        path,
+        METRICS_HEADER,
+        (
+            [
+                r.method,
+                repr(float(r.a)),
+                repr(float(r.k)),
+                str(r.n),
+                str(r.seed),
+                repr(float(r.balanced_accuracy)),
+                repr(float(r.approx_error)),
+                repr(float(r.wall_clock_seconds)),
+            ]
+            for r in rows
+        ),
+    )
 
 
 def read_metrics_csv(path) -> list[MetricRow]:
@@ -343,20 +373,21 @@ def aggregate_rows(rows: list[MetricRow]) -> list[tuple]:
 
 
 def write_aggregate_csv(path, rows: list[MetricRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        for method, a, k, n, runs, ba_m, ba_s, err_m, err_s in aggregate_rows(rows):
-            writer.writerow(
-                [
-                    method,
-                    repr(float(a)),
-                    repr(float(k)),
-                    str(n),
-                    str(runs),
-                    repr(ba_m),
-                    repr(ba_s),
-                    repr(err_m),
-                    repr(err_s),
-                ]
-            )
+    write_csv(
+        path,
+        AGGREGATE_HEADER,
+        (
+            [
+                method,
+                repr(float(a)),
+                repr(float(k)),
+                str(n),
+                str(runs),
+                repr(ba_m),
+                repr(ba_s),
+                repr(err_m),
+                repr(err_s),
+            ]
+            for method, a, k, n, runs, ba_m, ba_s, err_m, err_s in aggregate_rows(rows)
+        ),
+    )

@@ -13,23 +13,16 @@ import numpy as np
 
 from . import bench
 from .data import (
-    LabeledDataset,
     UnlabeledDataset,
     read_dataset_csv,
+    read_labeled_csv,
     write_dataset_csv,
     write_labels_csv,
     write_posterior_csv,
 )
-from .em import (
-    EmConfig,
-    fit_cpsm,
-    fit_mlls,
-    save_fit_json,
-    SourceModels,
-)
+from .em import EmConfig, save_fit_json
 from .errors import NumericalError, ValidationError
-from .softmax import FitConfig, fit_hard
-from .synth import ShiftProtocolConfig, SynthConfig, generate_pair, induce_conditional_shift
+from .softmax import FitConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -48,35 +41,11 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _synth_config_from(doc: dict) -> SynthConfig:
-    try:
-        return SynthConfig(**bench.config_fields(SynthConfig, doc))
-    except KeyError as exc:
-        raise ValidationError(f"generation config missing field: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"generation config malformed: {exc}") from None
-
-
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
+    source, target = bench.parse_generator(doc).pair()
     out_dir = args.output_dir or doc.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    kind = doc.get("kind", "synthetic")
-    if kind == "synthetic":
-        source, target = generate_pair(_synth_config_from(doc))
-    elif kind == "resample":
-        try:
-            z, x, y = read_dataset_csv(doc["input_csv"])
-            if y is None:
-                raise ValidationError(f"{doc['input_csv']}: resample input must be labeled")
-            base = LabeledDataset(z=z, x=x, y=y)
-            proto = ShiftProtocolConfig(**bench.config_fields(ShiftProtocolConfig, doc))
-        except KeyError as exc:
-            raise ValidationError(f"generation config missing field: {exc}") from None
-        source, target = induce_conditional_shift(base, proto)
-    else:
-        raise ValidationError(f"unknown generation kind {kind!r}")
-
     source_path = os.path.join(out_dir, "source.csv")
     target_path = os.path.join(out_dir, "target.csv")
     labels_path = os.path.join(out_dir, "target_labels.csv")
@@ -90,34 +59,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_adapt(args) -> int:
-    z_s, x_s, y_s = read_dataset_csv(args.source)
-    if y_s is None:
-        raise ValidationError(f"{args.source}: source must be labeled")
-    source_data = LabeledDataset(z=z_s, x=x_s, y=y_s)
+    source = read_labeled_csv(args.source, "source")
     z_t, x_t, y_t = read_dataset_csv(args.target)
     if y_t is not None:
         raise ValidationError(f"{args.target}: target must have empty y cells")
-    if z_t.shape[1] != source_data.d_z or x_t.shape[1] != source_data.d_x:
+    if z_t.shape[1] != source.d_z or x_t.shape[1] != source.d_x:
         raise ValidationError(
-            f"schema mismatch: source has z1..z{source_data.d_z},x1..x{source_data.d_x}, "
+            f"schema mismatch: source has z1..z{source.d_z},x1..x{source.d_x}, "
             f"target has z1..z{z_t.shape[1]},x1..x{x_t.shape[1]}"
         )
     target = UnlabeledDataset(z=z_t, x=x_t)
 
-    fit_config = FitConfig()
-    em_config = EmConfig(
-        max_em_iters=args.max_em_iters if args.method != "naive" else 0,
-        em_tolerance=args.em_tolerance,
-    )
-    posterior_model = fit_hard(source_data, fit_config, feature_block="zx")
-    if args.method == "mlls":
-        fit = fit_mlls(posterior_model, source_data.class_prior(), target, em_config)
-    else:
-        models = SourceModels(
-            posterior_model=posterior_model,
-            conditional_model=fit_hard(source_data, fit_config, feature_block="z"),
-        )
-        fit = fit_cpsm(models, target, em_config)
+    em_config = EmConfig(max_em_iters=args.max_em_iters, em_tolerance=args.em_tolerance)
+    fit = bench.adapt(args.method, bench.SourceFit(source, FitConfig()), target, em_config)
 
     json_path = f"{args.output}.fit.json"
     posterior_path = f"{args.output}.posterior.csv"
@@ -154,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     adapt = sub.add_parser("adapt", help="fit source models and adapt posteriors to a target CSV")
     adapt.add_argument("source", help="labeled source CSV")
     adapt.add_argument("target", help="unlabeled target CSV (empty y cells)")
-    adapt.add_argument("--method", choices=["naive", "mlls", "cpsm"], default="cpsm")
+    adapt.add_argument("--method", choices=bench.ADAPT_METHODS, default="cpsm")
     adapt.add_argument("--max-em-iters", type=int, default=EmConfig().max_em_iters)
     adapt.add_argument("--em-tolerance", type=float, default=EmConfig().em_tolerance)
     adapt.add_argument("--output", default="adapt", help="output prefix for .fit.json/.posterior.csv")

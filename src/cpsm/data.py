@@ -125,37 +125,41 @@ def dataset_header(d_z: int, d_x: int) -> list[str]:
     return ["y"] + [f"z{i}" for i in range(1, d_z + 1)] + [f"x{i}" for i in range(1, d_x + 1)]
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write the header row and then `rows`, each an iterable of cell
+    strings, as UTF-8 CSV with "\n" line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_dataset_csv(path, z: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> None:
     """Write rows as ``y,z1..,x1..``; y cells are left empty when y is None."""
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = z.shape[0]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(dataset_header(z.shape[1], x.shape[1]))
-        for i in range(n):
-            label = "" if y is None else str(int(y[i]))
-            row = [label]
-            row.extend(repr(float(v)) for v in z[i])
-            row.extend(repr(float(v)) for v in x[i])
-            writer.writerow(row)
+
+    def rows():
+        for i in range(z.shape[0]):
+            row = ["" if y is None else str(int(y[i]))]
+            row.extend(map(repr, z[i].tolist()))
+            row.extend(map(repr, x[i].tolist()))
+            yield row
+
+    write_csv(path, dataset_header(z.shape[1], x.shape[1]), rows())
 
 
 def write_labels_csv(path, y: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["y"])
-        for v in y:
-            writer.writerow([str(int(v))])
+    write_csv(path, ["y"], ([str(int(v))] for v in y))
 
 
 def write_posterior_csv(path, posterior: np.ndarray) -> None:
     """Write an (n, K) posterior as columns ``p1..pK``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"p{j}" for j in range(1, posterior.shape[1] + 1)])
-        for row in posterior:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(
+        path,
+        [f"p{j}" for j in range(1, posterior.shape[1] + 1)],
+        (map(repr, row.tolist()) for row in posterior),
+    )
 
 
 def read_labels_csv(path) -> np.ndarray:
@@ -238,3 +242,10 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         raise ValidationError(f"{path}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)")
     return z, x, np.asarray(labels, dtype=int)
 
+
+def read_labeled_csv(path, role: str) -> LabeledDataset:
+    """Read a dataset CSV whose rows must all carry labels."""
+    z, x, y = read_dataset_csv(path)
+    if y is None:
+        raise ValidationError(f"{path}: {role} must be labeled")
+    return LabeledDataset(z=z, x=x, y=y)

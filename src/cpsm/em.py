@@ -81,7 +81,9 @@ class CpsmFit:
     estimated_prior: np.ndarray
 
 
-def _check_target(source: SourceModels, target: UnlabeledDataset) -> None:
+def _source_probs(source: SourceModels, target: UnlabeledDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Clamped source posteriors p(y | z, x) and conditionals p(y | z) on the
+    target rows."""
     if target.n_rows == 0:
         raise ValidationError("target dataset is empty")
     if source.conditional_model.n_features != target.d_z:
@@ -94,12 +96,6 @@ def _check_target(source: SourceModels, target: UnlabeledDataset) -> None:
             f"posterior model expects {source.posterior_model.n_features} features, "
             f"target has {target.d_z + target.d_x}"
         )
-
-
-def _source_probs(source: SourceModels, target: UnlabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped source posteriors p(y | z, x) and conditionals p(y | z) on the
-    target rows."""
-    _check_target(source, target)
     p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
     p_z = clamp_probs(predict_proba(source.conditional_model, target.z))
     return p_xz, p_z
@@ -203,9 +199,9 @@ def fit_mlls(
 
 
 def naive_posterior(source: SourceModels, target: UnlabeledDataset) -> np.ndarray:
-    """Source posterior applied to target rows without any correction."""
-    _check_target(source, target)
-    return predict_proba(source.posterior_model, target.features("zx"))
+    """Source posterior applied to target rows without any correction: the
+    zero-round EM posterior."""
+    return fit_cpsm(source, target, EmConfig(max_em_iters=0)).target_posterior
 
 
 def params_to_dict(params: SoftmaxParams) -> dict:

@@ -20,6 +20,7 @@ PROB_EPS = 1e-12
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
+_STEP_SIZE = 0.1
 _MAX_HALVINGS = 50
 _CURVATURE_EPS = 1e-10
 
@@ -88,15 +89,12 @@ class FitConfig:
     """Solver settings; the solver is deterministic from a zero or warm start."""
 
     max_iters: int = 2000
-    step_size: float = 0.1
     tolerance: float = 1e-7
     l2_penalty: float = 1e-6
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_size <= 0:
-            raise ValidationError("step_size must be positive")
         if self.tolerance <= 0:
             raise ValidationError("tolerance must be positive")
         if self.l2_penalty < 0:
@@ -206,13 +204,13 @@ def _maximize(aug, targets, weights, config: FitConfig, w0: np.ndarray):
             gamma = float((s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1]))
             direction = _two_loop(g, s_hist, y_hist, rho_hist, gamma)
         else:
-            # First step: plain gradient scaled so its largest move is step_size.
-            direction = g * (config.step_size / max(float(np.max(np.abs(g))), 1e-30))
+            # First step: plain gradient scaled so its largest move is _STEP_SIZE.
+            direction = g * (_STEP_SIZE / max(float(np.max(np.abs(g))), 1e-30))
         slope = float(g.ravel() @ direction.ravel())
         if slope <= 0.0:
             # Stale curvature made the direction non-ascending; restart.
             s_hist, y_hist, rho_hist = [], [], []
-            direction = g * (config.step_size / max(float(np.max(np.abs(g))), 1e-30))
+            direction = g * (_STEP_SIZE / max(float(np.max(np.abs(g))), 1e-30))
             slope = float(g.ravel() @ direction.ravel())
             if slope <= 0.0:
                 trace.append(obj)

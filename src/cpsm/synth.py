@@ -283,6 +283,20 @@ class ShiftProtocolConfig:
         if self.conditioning_column < 0:
             raise ValidationError("conditioning_column must be >= 0")
 
+    def check_input(self, data: LabeledDataset) -> np.ndarray:
+        """Reject an input that no resampling with this conditioning column
+        can use, whatever the rates, sizes and seed; returns the column."""
+        if data.n_classes != 2:
+            raise ValidationError("shift protocol requires binary labels in {1, 2}")
+        if self.conditioning_column >= data.d_z:
+            raise ValidationError(
+                f"conditioning_column {self.conditioning_column} out of range for d_z={data.d_z}"
+            )
+        zcol = data.z[:, self.conditioning_column]
+        if not np.all((zcol == 0.0) | (zcol == 1.0)):
+            raise ValidationError("conditioning column must be binary with values 0/1")
+        return zcol.astype(int)
+
 
 def _stratum_rows(data: LabeledDataset, zcol: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
     strata = {}
@@ -327,16 +341,7 @@ def induce_conditional_shift(
     the feature law given (class, conditioning) is preserved across domains.
     The empirical conditioning marginal of the input is preserved in both.
     """
-    if data.n_classes != 2:
-        raise ValidationError("shift protocol requires binary labels in {1, 2}")
-    if config.conditioning_column >= data.d_z:
-        raise ValidationError(
-            f"conditioning_column {config.conditioning_column} out of range for d_z={data.d_z}"
-        )
-    zcol = data.z[:, config.conditioning_column]
-    if not np.all((zcol == 0.0) | (zcol == 1.0)):
-        raise ValidationError("conditioning column must be binary with values 0/1")
-    zcol = zcol.astype(int)
+    zcol = config.check_input(data)
     strata = _stratum_rows(data, zcol)
     p_z1 = float(np.mean(zcol == 1))
     rng = np.random.default_rng(config.seed)

@@ -4,6 +4,7 @@ import json
 import dataclasses
 
 import numpy as np
+import pytest
 
 from cpsm import bench
 from cpsm.bench import read_metrics_csv
@@ -259,7 +260,7 @@ def test_benchmark_unknown_method_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
-def test_benchmark_config_defaults_come_from_the_config_classes(monkeypatch):
+def test_benchmark_config_defaults_come_from_the_config_classes():
     doc = {
         "generator": {"dataset_kind": "gaussian_z"},
         "methods": ["cpsm"],
@@ -271,17 +272,79 @@ def test_benchmark_config_defaults_come_from_the_config_classes(monkeypatch):
     config = bench.experiment_config_from_dict(doc)
     assert config.fit == FitConfig()
     assert config.em == EmConfig()
-    monkeypatch.setattr(bench, "generate_pair", lambda synth: synth)
-    assert bench._generate(config, None, 0.3, 1.0, 50, 4) == SynthConfig(
+    [(cell, run)] = list(config.runs())
+    assert cell == (0.3, 1.0, 50, 4)
+    assert config.generator.config(**run) == SynthConfig(
         dataset_kind="gaussian_z", n_source=50, n_target=50,
         shift_slope=1.0, target_prior=0.3, seed=4,
     )
 
     # A partial inner block keeps the M-step defaults (200 iterations, no
-    # ridge), and keys naming no setting, such as a fit seed, are ignored.
-    doc["em"] = {"inner": {"tolerance": 1e-6}}
-    doc["fit"] = {"seed": 5, "max_iters": 50}
+    # ridge), and keys naming no setting, such as a fit seed or the former
+    # step_size, are ignored.
+    doc["em"] = {"inner": {"tolerance": 1e-6, "step_size": 0.5}}
+    doc["fit"] = {"seed": 5, "step_size": 0.5, "max_iters": 50}
     config = bench.experiment_config_from_dict(doc)
     assert config.em.inner == dataclasses.replace(EmConfig().inner, tolerance=1e-6)
     assert config.em.inner.max_iters == 200 and config.em.inner.l2_penalty == 0.0
     assert config.fit == FitConfig(max_iters=50)
+
+
+def _labeled_csv(tmp_path):
+    base = _gen_config(tmp_path, "labeled")
+    assert main(["generate", base]) == 0
+    return str(tmp_path / "labeled" / "source.csv")
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("generate", {"kind": "resample", "base_rate": "abc", "shift_delta": 0.3}),
+        ("generate", {"n_source": "many"}),
+        ("benchmark", {"generator": ["bernoulli_z"]}),
+        ("benchmark", {"em": {"inner": [1]}}),
+        ("benchmark", {"fit": "fast"}),
+    ],
+    ids=["resample-rate-not-a-number", "size-not-a-number", "generator-not-an-object",
+         "inner-not-an-object", "fit-not-an-object"],
+)
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides):
+    if overrides.get("kind") == "resample":
+        overrides["input_csv"] = _labeled_csv(tmp_path)
+    # Both commands would write under tmp_path/out: the generated files in
+    # that directory, or the metrics CSV out.csv next to it.
+    make_config = _gen_config if command == "generate" else _bench_config
+    config = make_config(tmp_path, "out", **overrides)
+    capsys.readouterr()
+    assert main([command, config]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert ("generation config" if command == "generate" else "benchmark config") in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"generator": {"dataset_kind": "bogus"}},
+        {"grid": {"a": [1.5], "k": [1.0], "n": [150]}},
+        {"grid": {"a": [0.3], "k": [-1.0], "n": [150]}},
+        {"grid": {"a": [0.3], "k": [1.0], "n": [0]}},
+        {"generator": {"kind": "resample"}, "grid": {"a": [0.2], "k": [0.9], "n": [50]}},
+        {"generator": {"kind": "resample", "conditioning_column": 99},
+         "grid": {"a": [0.2], "k": [0.3], "n": [50]}},
+    ],
+    ids=["bad-kind", "prior-out-of-range", "negative-slope", "zero-rows",
+         "rate-plus-shift-out-of-range", "conditioning-column-out-of-range"],
+)
+def test_benchmark_rejects_unusable_generator_or_grid_before_any_run(tmp_path, capsys, overrides):
+    if overrides.get("generator", {}).get("kind") == "resample":
+        overrides["generator"]["input_csv"] = _labeled_csv(tmp_path)
+    config = _bench_config(tmp_path, name="unusable", **overrides)
+    capsys.readouterr()
+    assert main(["benchmark", config]) == 2
+    captured = capsys.readouterr()
+    assert "validation error" in captured.err and "run failed" not in captured.err
+    assert not (tmp_path / "unusable.csv").exists()
+    assert not (tmp_path / "unusable_agg.csv").exists()

@@ -60,8 +60,8 @@ def test_e_step_at_initialization_equals_naive(small_pair, small_models):
     _, target = small_pair
     unlabeled = target.unlabeled()
     resp = e_step(small_models, unlabeled, small_models.conditional_model)
-    naive = naive_posterior(small_models, unlabeled)
-    assert np.max(np.abs(resp - naive)) < 1e-14
+    raw = predict_proba(small_models.posterior_model, unlabeled.features("zx"))
+    assert np.max(np.abs(resp - raw)) < 1e-14
 
 
 def test_e_step_prior_only_reduces_to_classic_update():
@@ -236,12 +236,21 @@ def test_zero_em_iterations_reproduce_naive(small_pair, small_models):
     _, target = small_pair
     unlabeled = target.unlabeled()
     result = fit_cpsm(small_models, unlabeled, EmConfig(max_em_iters=0))
-    naive = naive_posterior(small_models, unlabeled)
-    assert np.max(np.abs(result.target_posterior - naive)) < 1e-14
+    raw = predict_proba(small_models.posterior_model, unlabeled.features("zx"))
+    assert np.max(np.abs(result.target_posterior - raw)) < 1e-14
     assert result.iterations_run == 0
     assert np.array_equal(
         result.theta_hat.intercepts, small_models.conditional_model.intercepts
     )
+
+
+def test_naive_is_the_zero_round_em_posterior_bitwise(small_pair, small_models):
+    # One definition of the uncorrected baseline: the benchmark's naive rows
+    # and `cpsm adapt --method naive` must carry the same bits.
+    _, target = small_pair
+    unlabeled = target.unlabeled()
+    zero_round = fit_cpsm(small_models, unlabeled, EmConfig(max_em_iters=0))
+    assert np.array_equal(naive_posterior(small_models, unlabeled), zero_round.target_posterior)
 
 
 def test_prior_only_path_is_bitwise_identical(small_pair):
