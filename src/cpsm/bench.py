@@ -76,6 +76,16 @@ def _as_object(doc):
     return doc
 
 
+def _path(doc: dict, key: str, default=MISSING):
+    """The path string under `key`, or `default` when the key is absent (or
+    null, for a null default); not any other value, which `open` would take
+    as a file descriptor or reject."""
+    value = doc[key] if default is MISSING else doc.get(key, default)
+    if value is not default and not isinstance(value, str):
+        raise TypeError(f"{key} must be a path string, got {type(value).__name__}")
+    return value
+
+
 def config_fields(cls, doc: dict, supplied=()) -> dict:
     """Keyword arguments for the config dataclass `cls` read from a JSON object.
 
@@ -134,8 +144,14 @@ def parse_generator(doc, grid: bool = False) -> Generator:
             raise ValidationError(f"unknown generator kind {kind!r}")
         cls, run_fields = _KINDS[kind]
         settings = config_fields(cls, doc, supplied=run_fields if grid else ())
-        base = read_labeled_csv(doc["input_csv"], "resample input") if kind == "resample" else None
+        base = read_labeled_csv(_path(doc, "input_csv"), "resample input") if kind == "resample" else None
     return Generator(kind, settings, base)
+
+
+def parse_generation(doc: dict) -> tuple[Generator, str]:
+    """A `cpsm generate` config: its generator block and output directory."""
+    with _config_errors("generation config"):
+        return parse_generator(doc), _path(doc, "output_dir", ".")
 
 
 @dataclass
@@ -197,8 +213,8 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
             grid_n=[int(v) for v in grid["n"]],
             repetitions=int(doc["repetitions"]),
             base_seed=int(doc["base_seed"]),
-            output_path=doc["output_path"],
-            aggregate_path=doc.get("aggregate_path"),
+            output_path=_path(doc, "output_path"),
+            aggregate_path=_path(doc, "aggregate_path", None),
             measure_wall_clock=bool(doc.get("measure_wall_clock", False)),
             em=_em_config_from(doc.get("em", {})),
             fit=FitConfig(**config_fields(FitConfig, doc.get("fit", {}))),

@@ -43,8 +43,9 @@ def _load_json(path) -> dict:
 
 def cmd_generate(args) -> int:
     doc = _load_json(args.config)
-    source, target = bench.parse_generator(doc).pair()
-    out_dir = args.output_dir or doc.get("output_dir", ".")
+    generator, out_dir = bench.parse_generation(doc)
+    source, target = generator.pair()
+    out_dir = args.output_dir or out_dir
     os.makedirs(out_dir, exist_ok=True)
     source_path = os.path.join(out_dir, "source.csv")
     target_path = os.path.join(out_dir, "target.csv")

@@ -35,17 +35,17 @@ def check_sample_weights(weights, n_rows: int) -> np.ndarray:
     return w
 
 
-def _as_label_vector(arr) -> np.ndarray:
+def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
     y = np.asarray(arr)
     if y.ndim != 1:
-        raise ValidationError(f"labels must be a 1-D vector, got ndim={y.ndim}")
+        raise ValidationError(f"{name} must be a 1-D vector, got ndim={y.ndim}")
     if y.size == 0:
-        raise ValidationError("labels are empty")
+        raise ValidationError(f"{name} are empty")
     yi = y.astype(int)
     if not np.all(yi == y):
-        raise ValidationError("labels must be integers")
+        raise ValidationError(f"{name} must be integers")
     if yi.min() < 1:
-        raise ValidationError("labels must be 1-based positive integers")
+        raise ValidationError(f"{name} must be 1-based positive integers")
     return yi
 
 
@@ -176,7 +176,7 @@ def read_labels_csv(path) -> np.ndarray:
                 values.append(int(row[0]))
             except ValueError:
                 raise ValidationError(f"{path}: line {lineno}: bad label {row[0]!r}") from None
-    return np.asarray(values, dtype=int)
+    return _as_label_vector(values, f"{path}: labels")
 
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:

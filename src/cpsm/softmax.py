@@ -5,9 +5,14 @@ at zero, so a model over K classes stores K-1 parameter rows. The solver is
 deterministic full-batch gradient-only ascent: limited-memory quasi-Newton
 directions with a backtracking Armijo line search, so the objective trace is
 non-decreasing by construction and a warm start can only be improved.
+
+Solver contract: `_maximize(objective, w0, config)` ascends a callable
+`w -> (value, gradient)` over the (K-1, 1+d) weight block; `_objective` is
+the one objective, shared by `fit_soft`, `log_likelihood` and its gradient.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,11 +142,9 @@ _LOG_EPS = float(np.log(PROB_EPS))
 
 
 def _objective(w, aug, targets, weights, l2):
-    """Weighted soft-target log-likelihood minus the ridge penalty on slopes.
-
-    Returns (value, cache) where the cache carries the probabilities needed
-    by `_gradient`. The two-class case runs on flat score vectors.
-    """
+    """Weighted soft-target log-likelihood minus the ridge penalty on slopes,
+    and its gradient with respect to `w`: returns (value, gradient). The
+    two-class case runs on flat score vectors."""
     if targets.shape[1] == 2:
         scores = aug @ w[0]
         log_p1 = -np.logaddexp(0.0, -scores)
@@ -149,98 +152,75 @@ def _objective(w, aug, targets, weights, l2):
         np.maximum(log_p1, _LOG_EPS, out=log_p1)
         np.maximum(log_p2, _LOG_EPS, out=log_p2)
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
-        cache = np.exp(log_p1)
+        resid = (targets[:, 0] - np.exp(log_p1)) * weights
+        g = (resid @ aug)[None, :].copy()
     else:
         probs = _softmax(aug @ w.T)
         value = float(np.sum(weights[:, None] * targets * np.log(clamp_probs(probs))))
-        cache = probs
-    if l2 > 0:
-        value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
-    return value, cache
-
-
-def _gradient(w, aug, targets, cache, weights, l2) -> np.ndarray:
-    if targets.shape[1] == 2:
-        resid = (targets[:, 0] - cache) * weights
-        g = (resid @ aug)[None, :].copy()
-    else:
-        resid = (targets[:, :-1] - cache[:, :-1]) * weights[:, None]
+        resid = (targets[:, :-1] - probs[:, :-1]) * weights[:, None]
         g = resid.T @ aug
     if l2 > 0:
+        value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
         g[:, 1:] -= l2 * w[:, 1:]
-    return g
+    return value, g
 
 
-def _two_loop(g: np.ndarray, s_hist: list, y_hist: list, rho_hist: list, gamma: float) -> np.ndarray:
-    """Inverse-curvature scaling of the gradient from stored (step, gradient
-    difference) pairs; reduces to gamma * g with empty history. History
-    entries are flat vectors."""
+def _two_loop(g: np.ndarray, history: deque) -> np.ndarray:
+    """Inverse-curvature scaling of the gradient from the stored (step,
+    gradient difference, 1 / curvature) triples, oldest first; entries are
+    flat vectors and the initial scaling comes from the newest pair."""
+    s_last, y_last, _ = history[-1]
+    gamma = float((s_last @ y_last) / (y_last @ y_last))
     q = g.ravel().copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+    for s, y, rho in reversed(history):
         alpha = rho * float(s @ q)
         q -= alpha * y
         alphas.append(alpha)
     q *= gamma
-    for (s, y, rho), alpha in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+    for (s, y, rho), alpha in zip(history, reversed(alphas)):
         beta = rho * float(y @ q)
         q += (alpha - beta) * s
     return q.reshape(g.shape)
 
 
-def _maximize(aug, targets, weights, config: FitConfig, w0: np.ndarray):
-    """Monotone quasi-Newton ascent; returns (weights, objective trace)."""
+def _maximize(objective, w0: np.ndarray, config: FitConfig):
+    """Monotone quasi-Newton ascent of `objective`, a callable w -> (value,
+    gradient); returns (weights, objective trace)."""
     w = w0.copy()
-    obj, probs = _objective(w, aug, targets, weights, config.l2_penalty)
+    obj, g = objective(w)
     if not np.isfinite(obj):
         raise NumericalError("non-finite objective at initialization")
     trace = [obj]
-    g = _gradient(w, aug, targets, probs, weights, config.l2_penalty)
-    s_hist: list = []
-    y_hist: list = []
-    rho_hist: list = []
+    history: deque = deque(maxlen=_LBFGS_MEMORY)
     for _ in range(config.max_iters):
-        if s_hist:
-            gamma = float((s_hist[-1] @ y_hist[-1]) / (y_hist[-1] @ y_hist[-1]))
-            direction = _two_loop(g, s_hist, y_hist, rho_hist, gamma)
-        else:
-            # First step: plain gradient scaled so its largest move is _STEP_SIZE.
+        direction = _two_loop(g, history) if history else None
+        if direction is None or float(g.ravel() @ direction.ravel()) <= 0.0:
+            # First step, or stale curvature made the direction non-ascending:
+            # restart from the gradient scaled so its largest move is _STEP_SIZE.
+            history.clear()
             direction = g * (_STEP_SIZE / max(float(np.max(np.abs(g))), 1e-30))
         slope = float(g.ravel() @ direction.ravel())
         if slope <= 0.0:
-            # Stale curvature made the direction non-ascending; restart.
-            s_hist, y_hist, rho_hist = [], [], []
-            direction = g * (_STEP_SIZE / max(float(np.max(np.abs(g))), 1e-30))
-            slope = float(g.ravel() @ direction.ravel())
-            if slope <= 0.0:
-                trace.append(obj)
-                break
-        step = 1.0
-        accepted = False
-        for _ in range(_MAX_HALVINGS):
-            cand = w + step * direction
-            cand_obj, cand_probs = _objective(cand, aug, targets, weights, config.l2_penalty)
-            if np.isfinite(cand_obj) and cand_obj >= obj + _ARMIJO_C1 * step * slope:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
             trace.append(obj)
             break
-        new_g = _gradient(cand, aug, targets, cand_probs, weights, config.l2_penalty)
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            cand = w + step * direction
+            cand_obj, new_g = objective(cand)
+            if np.isfinite(cand_obj) and cand_obj >= obj + _ARMIJO_C1 * step * slope:
+                break
+            step *= 0.5
+        else:
+            trace.append(obj)
+            break
         s = (cand - w).ravel()
         y = (g - new_g).ravel()
         sy = float(s @ y)
         if sy > _CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_hist.append(s)
-            y_hist.append(y)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
+            history.append((s, y, 1.0 / sy))
         delta = float(np.max(np.abs(s)))
-        w, obj, probs, g = cand, cand_obj, cand_probs, new_g
+        w, obj, g = cand, cand_obj, new_g
         trace.append(obj)
         if delta < config.tolerance:
             break
@@ -275,7 +255,8 @@ def fit_soft(
                 f"problem ({n_classes}, {d})"
             )
         w0 = init.weight_matrix()
-    w, trace = _maximize(_augment(feats), t, weights, config, w0)
+    aug = _augment(feats)
+    w, trace = _maximize(lambda w: _objective(w, aug, t, weights, config.l2_penalty), w0, config)
     if _trace is not None:
         _trace.extend(trace)
     return SoftmaxParams.from_weight_matrix(n_classes, w)
@@ -318,7 +299,5 @@ def log_likelihood(params: SoftmaxParams, features, targets) -> float:
 def log_likelihood_grad(params: SoftmaxParams, features, targets) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of `log_likelihood` as (d_intercepts, d_slopes): the
     solver's gradient with unit weights and no ridge."""
-    w, aug, t, weights = _unit_weight_problem(params, features, targets)
-    _, cache = _objective(w, aug, t, weights, 0.0)
-    g = _gradient(w, aug, t, cache, weights, 0.0)
+    g = _objective(*_unit_weight_problem(params, features, targets), 0.0)[1]
     return g[:, 0], g[:, 1:]

@@ -304,13 +304,25 @@ def _labeled_csv(tmp_path):
         ("benchmark", {"generator": ["bernoulli_z"]}),
         ("benchmark", {"em": {"inner": [1]}}),
         ("benchmark", {"fit": "fast"}),
+        # A path must be a string: `open` takes an integer as a file
+        # descriptor. An unopened descriptor number keeps a failure of the
+        # check away from the test's own standard streams.
+        ("generate", {"kind": "resample", "base_rate": 0.3, "shift_delta": 0.3,
+                      "input_csv": 987654}),
+        ("generate", {"output_dir": 987654}),
+        ("generate", {"output_dir": ["out"]}),
+        ("benchmark", {"generator": {"kind": "resample", "input_csv": ["labeled.csv"]}}),
+        ("benchmark", {"output_path": 987654}),
+        ("benchmark", {"aggregate_path": ["agg.csv"]}),
     ],
     ids=["resample-rate-not-a-number", "size-not-a-number", "generator-not-an-object",
-         "inner-not-an-object", "fit-not-an-object"],
+         "inner-not-an-object", "fit-not-an-object", "input-csv-not-a-path",
+         "output-dir-fd", "output-dir-list", "benchmark-input-csv-not-a-path",
+         "output-path-fd", "aggregate-path-list"],
 )
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides):
     if overrides.get("kind") == "resample":
-        overrides["input_csv"] = _labeled_csv(tmp_path)
+        overrides.setdefault("input_csv", _labeled_csv(tmp_path))
     # Both commands would write under tmp_path/out: the generated files in
     # that directory, or the metrics CSV out.csv next to it.
     make_config = _gen_config if command == "generate" else _bench_config

@@ -17,7 +17,7 @@ from cpsm import (
     induce_conditional_shift,
     predict_proba,
 )
-from cpsm.data import read_dataset_csv, write_dataset_csv
+from cpsm.data import read_dataset_csv, read_labels_csv, write_dataset_csv, write_labels_csv
 
 from helpers import enumerate_bernoulli_expectation, gaussian_bayes_posterior
 
@@ -340,3 +340,27 @@ def test_dataset_csv_round_trip(tmp_path):
     rewrite = tmp_path / "again.csv"
     write_dataset_csv(rewrite, z, x, y)
     assert rewrite.read_bytes() == labeled.read_bytes()
+
+
+def test_labels_csv_round_trip(tmp_path):
+    y = np.array([1, 2, 2, 3, 1])
+    path = tmp_path / "labels.csv"
+    write_labels_csv(path, y)
+    back = read_labels_csv(path)
+    assert back.dtype.kind == "i"
+    assert np.array_equal(back, y)
+    again = tmp_path / "again.csv"
+    write_labels_csv(again, back)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [("y\n1\n0\n", "1-based"), ("y\n2\n-1\n", "1-based"), ("y\n", "empty")],
+    ids=["zero-label", "negative-label", "header-only"],
+)
+def test_labels_csv_rejects_what_every_label_path_rejects(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text(body)
+    with pytest.raises(ValidationError, match=message):
+        read_labels_csv(path)
