@@ -7,16 +7,27 @@ model on those responsibilities, warm-started from the previous round so the
 marginal-likelihood surrogate can only go up. The prior-only correction
 (empty conditioning block) and the uncorrected baseline fall out as special
 cases.
+
+The shifted model sees the conditioning block z only through its distinct
+rows. `fit_cpsm` groups the target's z rows into patterns once; each M-step
+then fits the mean responsibilities of every pattern, weighted by its row
+count, and each E-step scores q(y | z; theta) once per pattern. So the
+M-step cost scales with the number of distinct z patterns (32 for five
+binary columns, 1 for the prior-only case), not with the target rows. The
+objective and its gradient are the row-wise sums regrouped. Continuous z has
+as many patterns as rows, each of count 1, and runs the row-wise arithmetic
+unchanged.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import AdjustResult, ConditionalRatios, adjust_posterior
-from .data import UnlabeledDataset
+from .adjust import AdjustResult, ConditionalRatios, adjust_posterior, check_posterior
+from .data import UnlabeledDataset, as_float_matrix
 from .errors import NumericalError, ValidationError
 from .softmax import (
     FitConfig,
@@ -101,10 +112,9 @@ def _source_probs(source: SourceModels, target: UnlabeledDataset) -> tuple[np.nd
     return p_xz, p_z
 
 
-def _responsibilities(
-    p_xz: np.ndarray, p_z: np.ndarray, theta: SoftmaxParams, z: np.ndarray
-) -> AdjustResult:
-    q_z = clamp_probs(predict_proba(theta, z))
+def _responsibilities(p_xz: np.ndarray, p_z: np.ndarray, q_z: np.ndarray) -> AdjustResult:
+    """Source posteriors reweighted by the clamped conditionals q(y | z; theta)
+    over p(y | z), per row."""
     return adjust_posterior(p_xz, ConditionalRatios(numerator=q_z, denominator=p_z))
 
 
@@ -113,7 +123,49 @@ def e_step(source: SourceModels, target: UnlabeledDataset, theta: SoftmaxParams)
     if theta.n_classes != source.n_classes or theta.n_features != target.d_z:
         raise ValidationError("theta does not match source models / target dimensions")
     p_xz, p_z = _source_probs(source, target)
-    return _responsibilities(p_xz, p_z, theta, target.z).posterior
+    return _responsibilities(p_xz, p_z, clamp_probs(predict_proba(theta, target.z))).posterior
+
+
+class _Patterns(NamedTuple):
+    """The distinct rows of a matrix in order of first occurrence, the
+    pattern index of every row, and the number of rows of each pattern."""
+
+    rows: np.ndarray     # (m, d)
+    inverse: np.ndarray  # (n,) indices into `rows`
+    counts: np.ndarray   # (m,) float row counts
+
+
+def _distinct_rows(z: np.ndarray) -> _Patterns:
+    """Group the rows of `z` by value. With every row distinct, `rows` equals
+    `z`, `inverse` is 0..n-1 and every count is 1."""
+    n, d = z.shape
+    if d == 0:
+        # Every row is the one empty pattern.
+        first, inverse = np.zeros(min(n, 1), dtype=np.intp), np.zeros(n, dtype=np.intp)
+    else:
+        # One opaque byte string per row groups faster than np.unique(axis=0);
+        # adding 0.0 turns -0.0 into 0.0 so that equal values share one key.
+        key = np.ascontiguousarray(z + 0.0)
+        key = key.view(np.dtype((np.void, key.itemsize * d))).reshape(n)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        first, inverse = first[order], rank[inverse.reshape(n)]
+    return _Patterns(z[first], inverse, np.bincount(inverse).astype(float))
+
+
+def _fit_patterns(
+    patterns: _Patterns, responsibilities: np.ndarray, inner: FitConfig, init: SoftmaxParams | None
+) -> SoftmaxParams:
+    """The M-step on grouped rows: each pattern's mean responsibilities,
+    weighted by its row count."""
+    sums = [
+        np.bincount(patterns.inverse, weights=column, minlength=patterns.counts.size)
+        for column in responsibilities.T
+    ]
+    means = np.stack(sums, axis=1) / patterns.counts[:, None]
+    return fit_soft(patterns.rows, means, inner, init=init, sample_weights=patterns.counts)
 
 
 def m_step(
@@ -122,8 +174,11 @@ def m_step(
     inner: FitConfig,
     init: SoftmaxParams | None = None,
 ) -> SoftmaxParams:
-    """Refit the shifted conditional model on soft responsibilities."""
-    return fit_soft(target_z, responsibilities, inner, init=init)
+    """Refit the shifted conditional model on soft responsibilities; rows
+    that share a z pattern enter the fit as one row weighted by their count."""
+    z = as_float_matrix(target_z, "target_z")
+    resp = check_posterior(responsibilities, "responsibilities", n_rows=z.shape[0])
+    return _fit_patterns(_distinct_rows(z), resp, inner, init)
 
 
 def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -> CpsmFit:
@@ -134,14 +189,17 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
     by less than `em_tolerance` or after `max_em_iters` rounds.
     """
     p_xz, p_z = _source_probs(source, target)
-    z = target.z
+    # Iteration 0 scores the source conditional model, whose clamped
+    # probabilities are p_z; only the later rounds need the z patterns.
+    theta, q_z = source.conditional_model, p_z
+    patterns = _distinct_rows(target.z) if config.max_em_iters > 0 else None
 
-    theta = source.conditional_model
     trace: list[float] = []
     for it in range(config.max_em_iters + 1):
         if it > 0:
-            theta = m_step(z, result.posterior, config.inner, init=theta)
-        result = _responsibilities(p_xz, p_z, theta, z)
+            theta = _fit_patterns(patterns, result.posterior, config.inner, theta)
+            q_z = clamp_probs(predict_proba(theta, patterns.rows))[patterns.inverse]
+        result = _responsibilities(p_xz, p_z, q_z)
         value = float(np.log(result.row_normalizer).sum())
         if not np.isfinite(value):
             raise NumericalError(f"non-finite surrogate log-likelihood at iteration {it}")

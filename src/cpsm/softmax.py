@@ -270,9 +270,18 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx") -> SoftmaxParams:
-    """Maximum likelihood fit on hard labels over the selected feature block."""
-    if np.unique(data.y).size < 2:
+    """Maximum likelihood fit on hard labels over the selected feature block.
+    Every label in 1..K, K the largest label, must have rows: a class with
+    none would get an intercept that runs off towards minus infinity."""
+    counts = np.bincount(data.y, minlength=data.n_classes + 1)[1:]
+    if np.count_nonzero(counts) < 2:
         raise ValidationError("degenerate labels: need at least 2 distinct classes")
+    missing = np.flatnonzero(counts == 0) + 1
+    if missing.size:
+        raise ValidationError(
+            f"no rows have label {', '.join(map(str, missing))}: "
+            f"labels must cover 1..{data.n_classes}"
+        )
     feats = data.features(feature_block)
     targets = one_hot(data.y, data.n_classes)
     return fit_soft(feats, targets, config, sample_weights=data.sample_weights)

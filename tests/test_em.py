@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from cpsm import (
+    ConditionalRatios,
     EmConfig,
     SoftmaxParams,
     SourceModels,
     SynthConfig,
     UnlabeledDataset,
     ValidationError,
+    adjust_posterior,
     e_step,
     fit_cpsm,
     fit_mlls,
@@ -22,7 +24,7 @@ from cpsm import (
     params_to_dict,
 )
 from cpsm.em import load_fit_json, save_fit_json
-from cpsm.softmax import FitConfig, fit_hard, predict_proba
+from cpsm.softmax import FitConfig, clamp_probs, fit_hard, fit_soft, predict_proba
 from cpsm.synth import GaussianGenConfig, generate_gaussian_family
 
 from helpers import bayes_posterior_from_joint
@@ -314,6 +316,112 @@ def test_shift_recovery_beats_uncorrected_posteriors():
     cpsm_err = np.mean(np.abs(result.target_posterior[:, 0] - oracle[:, 0]))
     naive_err = np.mean(np.abs(naive_posterior(models, unlabeled)[:, 0] - oracle[:, 0]))
     assert cpsm_err < naive_err
+
+
+def _row_wise_em(models, target, config):
+    """Reference EM that refits and scores the shifted model on every target
+    row: the loop `fit_cpsm` ran before it grouped z into distinct patterns."""
+    p_xz = clamp_probs(predict_proba(models.posterior_model, target.features("zx")))
+    p_z = clamp_probs(predict_proba(models.conditional_model, target.z))
+    theta = models.conditional_model
+    trace = []
+    for it in range(config.max_em_iters + 1):
+        if it > 0:
+            theta = fit_soft(target.z, result.posterior, config.inner, init=theta)
+        q_z = clamp_probs(predict_proba(theta, target.z))
+        result = adjust_posterior(p_xz, ConditionalRatios(numerator=q_z, denominator=p_z))
+        trace.append(float(np.log(result.row_normalizer).sum()))
+        if it > 0 and trace[-1] - trace[-2] < config.em_tolerance:
+            break
+    return theta, result.posterior, np.asarray(trace)
+
+
+def _shifted_pair(kind, seed, n=2000):
+    config = SynthConfig(
+        dataset_kind=kind, n_source=n, n_target=n, shift_slope=5.0, target_prior=0.05, seed=seed
+    )
+    source, target = generate_pair(config)
+    fit = FitConfig()
+    models = SourceModels(fit_hard(source, fit, "zx"), fit_hard(source, fit, "z"))
+    return models, target.unlabeled()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grouped_em_matches_row_wise_em_on_discrete_z(seed):
+    models, target = _shifted_pair("bernoulli_z", seed)
+    theta, posterior, trace = _row_wise_em(models, target, EmConfig())
+    result = fit_cpsm(models, target, EmConfig())
+    assert result.iterations_run == trace.size - 1
+    assert np.max(np.abs(result.target_posterior - posterior)) <= 1e-6
+    assert np.all(np.diff(result.loglik_trace) >= -1e-9)
+
+
+def test_grouped_em_is_bitwise_row_wise_em_when_every_z_row_is_distinct():
+    models, target = _shifted_pair("gaussian_z", 3)
+    theta, posterior, trace = _row_wise_em(models, target, EmConfig())
+    result = fit_cpsm(models, target, EmConfig())
+    assert np.array_equal(result.loglik_trace, trace)
+    assert np.array_equal(result.target_posterior, posterior)
+    assert np.array_equal(result.theta_hat.weight_matrix(), theta.weight_matrix())
+
+
+def test_permuting_target_rows_permutes_the_posterior():
+    models, target = _shifted_pair("bernoulli_z", 1)
+    perm = np.random.default_rng(0).permutation(target.n_rows)
+    shuffled = UnlabeledDataset(z=target.z[perm], x=target.x[perm])
+    result = fit_cpsm(models, target, EmConfig())
+    permuted = fit_cpsm(models, shuffled, EmConfig())
+    assert permuted.iterations_run == result.iterations_run
+    # Reordered sums change the rounding, and the M-step solver stops on a
+    # 1e-7 step; the row-wise EM moves by 2.7e-7 under this permutation.
+    assert np.max(np.abs(permuted.target_posterior - result.target_posterior[perm])) <= 1e-6
+
+
+def test_one_row_target_matches_row_wise_em(small_models, small_pair):
+    _, target = small_pair
+    one = UnlabeledDataset(z=target.z[:1], x=target.x[:1])
+    config = EmConfig(max_em_iters=20)
+    theta, posterior, trace = _row_wise_em(small_models, one, config)
+    result = fit_cpsm(small_models, one, config)
+    assert np.array_equal(result.loglik_trace, trace)
+    assert np.array_equal(result.target_posterior, posterior)
+
+
+def test_negative_zero_in_z_is_the_same_pattern_as_zero(small_models, small_pair):
+    _, target = small_pair
+    unlabeled = target.unlabeled()
+    signed_z = unlabeled.z.copy()
+    signed_z[1::2][signed_z[1::2] == 0.0] = -0.0
+    assert np.any(np.signbit(signed_z) & (signed_z == 0.0))
+    signed = UnlabeledDataset(z=signed_z, x=unlabeled.x)
+    config = EmConfig(max_em_iters=30)
+    result = fit_cpsm(small_models, unlabeled, config)
+    with_signed_zeros = fit_cpsm(small_models, signed, config)
+    assert np.array_equal(with_signed_zeros.loglik_trace, result.loglik_trace)
+    assert np.array_equal(with_signed_zeros.target_posterior, result.target_posterior)
+
+
+def test_mlls_follows_the_classic_prior_only_em(small_pair):
+    # Saerens, Latinne & Decaestecker (Neural Computation 2002): reweight the
+    # source posteriors by prior / source prior, then set the prior to the
+    # mean of the reweighted posteriors.
+    source, target = small_pair
+    posterior_model = fit_hard(source, FitConfig(), "zx")
+    source_prior = source.class_prior()
+    unlabeled = target.unlabeled()
+    config = EmConfig(
+        max_em_iters=20, inner=FitConfig(max_iters=500, tolerance=1e-12, l2_penalty=0.0)
+    )
+    result = fit_mlls(posterior_model, source_prior, unlabeled, config)
+
+    p = predict_proba(posterior_model, unlabeled.features("zx"))
+    prior = source_prior
+    for _ in range(result.iterations_run + 1):
+        reweighted = p * (prior / source_prior)
+        reweighted /= reweighted.sum(axis=1, keepdims=True)
+        prior = reweighted.mean(axis=0)
+    assert result.iterations_run >= 5
+    assert np.max(np.abs(result.estimated_prior - prior)) <= 1e-6
 
 
 def test_mismatched_models_rejected(small_pair, small_models):

@@ -282,3 +282,14 @@ def test_warm_start_shape_mismatch_rejected():
     init = SoftmaxParams.zeros(2, 3)
     with pytest.raises(ValidationError):
         fit_soft(np.zeros((4, 2)), np.tile([0.5, 0.5], (4, 1)), FitConfig(), init=init)
+
+
+def test_label_gap_rejected_naming_the_label():
+    # Labels {1, 3}: class 2 has no rows, and a fit would drive its intercept
+    # towards minus infinity instead of reporting the gap.
+    rng = np.random.default_rng(4)
+    data = LabeledDataset(
+        z=np.zeros((40, 0)), x=rng.standard_normal((40, 2)), y=np.array([1, 3] * 20)
+    )
+    with pytest.raises(ValidationError, match=r"no rows have label 2\b.*1\.\.3"):
+        fit_hard(data, FitConfig())
