@@ -8,9 +8,7 @@ a resampling shift protocol, evaluation metrics, and a benchmark CLI.
 
 from .adjust import (
     AdjustResult,
-    ConditionalRatios,
     adjust_posterior,
-    surrogate_observed_loglik,
 )
 from .data import (
     LabeledDataset,
@@ -24,12 +22,10 @@ from .em import (
     CpsmFit,
     EmConfig,
     SourceModels,
-    e_step,
     fit_cpsm,
     fit_mlls,
     fit_to_dict,
     load_fit_json,
-    m_step,
     naive_posterior,
     params_from_dict,
     params_from_prior,
@@ -66,7 +62,6 @@ from .synth import (
 
 __all__ = [
     "AdjustResult",
-    "ConditionalRatios",
     "CpsmError",
     "CpsmFit",
     "EmConfig",
@@ -86,7 +81,6 @@ __all__ = [
     "balanced_accuracy",
     "calibrate_intercept",
     "classify",
-    "e_step",
     "fit_cpsm",
     "fit_hard",
     "fit_mlls",
@@ -100,7 +94,6 @@ __all__ = [
     "load_fit_json",
     "log_likelihood",
     "log_likelihood_grad",
-    "m_step",
     "naive_posterior",
     "params_from_dict",
     "params_from_prior",
@@ -109,7 +102,6 @@ __all__ = [
     "read_dataset_csv",
     "read_labels_csv",
     "save_fit_json",
-    "surrogate_observed_loglik",
     "write_dataset_csv",
     "write_labels_csv",
 ]

@@ -3,13 +3,14 @@ and conditioning block.
 
 When only the class-given-conditioning distribution shifts, the target
 posterior is the source posterior reweighted per class by the ratio of the
-two conditional models and renormalized per row. The per-row sum of the
-reweighted probabilities is also the computable, parameter-dependent part of
-the target marginal log-likelihood, which the EM driver tracks.
+two conditional models and renormalized per row. `adjust_posterior` does
+that on arrays: the source posterior p(y | z, x) and the two conditionals
+q(y | z) and p(y | z), row by row. The per-row sum of the reweighted
+probabilities is also the computable, parameter-dependent part of the
+target marginal log-likelihood, which the EM driver tracks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,52 +40,35 @@ def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -
     return p
 
 
-@dataclass(frozen=True)
-class ConditionalRatios:
-    """Per-row class-probability ratios: target conditional over source conditional."""
-
-    numerator: np.ndarray    # q(y=k | z), one row per sample
-    denominator: np.ndarray  # p(y=k | z), same shape
-
-    def __post_init__(self):
-        num = np.asarray(self.numerator, dtype=float)
-        den = np.asarray(self.denominator, dtype=float)
-        if num.ndim != 2 or num.shape != den.shape:
-            raise ValidationError(
-                f"ratio matrices must share one (n, K) shape, got {num.shape} and {den.shape}"
-            )
-        if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-            raise ValidationError("ratio matrices must be finite")
-        if np.any(num < 0) or np.any(den < 0):
-            raise ValidationError("ratio matrices must be nonnegative")
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
-
-    def values(self) -> np.ndarray:
-        """Elementwise ratio, clamped into [RATIO_MIN, RATIO_MAX]."""
-        num = np.maximum(self.numerator, RATIO_MIN)
-        den = np.maximum(self.denominator, RATIO_MIN)
-        return np.clip(num / den, RATIO_MIN, RATIO_MAX)
-
-
 class AdjustResult(NamedTuple):
     posterior: np.ndarray       # adjusted row-stochastic (n, K)
     row_normalizer: np.ndarray  # per-row sum of posterior * ratio before renormalizing
 
 
-def adjust_posterior(source_posterior, ratios: ConditionalRatios) -> AdjustResult:
-    """Reweight source posteriors by conditional ratios and renormalize rows.
+def adjust_posterior(source_posterior, numerator, denominator) -> AdjustResult:
+    """Reweight source posteriors by the class ratios numerator / denominator
+    and renormalize rows.
 
-    The returned `row_normalizer` is the reciprocal of the density ratio
-    between source and target feature laws at each row; it is exposed for
-    diagnostics and for the marginal log-likelihood surrogate.
+    `numerator` holds q(y=k | z) and `denominator` p(y=k | z) for each
+    posterior row: finite, nonnegative matrices of the posterior's shape.
+    Both are floored at RATIO_MIN before dividing, and each ratio is clamped
+    into [RATIO_MIN, RATIO_MAX]. The returned `row_normalizer` is the
+    reciprocal of the density ratio between source and target feature laws
+    at each row; the sum of its logs is the marginal log-likelihood
+    surrogate that EM must not decrease.
     """
     p = check_posterior(source_posterior, "source_posterior")
-    r = ratios.values()
-    if r.shape != p.shape:
+    num = np.asarray(numerator, dtype=float)
+    den = np.asarray(denominator, dtype=float)
+    if num.shape != p.shape or den.shape != p.shape:
         raise ValidationError(
-            f"ratio shape {r.shape} does not match posterior shape {p.shape}"
+            f"ratio shapes {num.shape} and {den.shape} do not match posterior shape {p.shape}"
         )
+    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
+        raise ValidationError("ratio matrices must be finite")
+    if np.any(num < 0) or np.any(den < 0):
+        raise ValidationError("ratio matrices must be nonnegative")
+    r = np.clip(np.maximum(num, RATIO_MIN) / np.maximum(den, RATIO_MIN), RATIO_MIN, RATIO_MAX)
     weighted = p * r
     norm = weighted.sum(axis=1)
     if np.any(norm <= 0.0) or not np.all(np.isfinite(norm)):
@@ -93,14 +77,3 @@ def adjust_posterior(source_posterior, ratios: ConditionalRatios) -> AdjustResul
             f"zero or non-finite normalizer at row {bad}: contradictory posterior/ratio inputs"
         )
     return AdjustResult(posterior=weighted / norm[:, None], row_normalizer=norm)
-
-
-def surrogate_observed_loglik(source_posterior, ratios: ConditionalRatios) -> float:
-    """Sum over rows of the log row-normalizer.
-
-    This is the part of the observed-data (marginal) log-likelihood of the
-    target sample that depends on the shifted conditional model, so EM must
-    not decrease it.
-    """
-    result = adjust_posterior(source_posterior, ratios)
-    return float(np.log(result.row_normalizer).sum())

@@ -10,8 +10,8 @@ its data is recorded as a row with NaN metrics and the sweep continues.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
+import math
 import sys
 import time
 import typing
@@ -66,7 +66,7 @@ def _config_errors(what: str):
         yield
     except KeyError as exc:
         raise ValidationError(f"{what} missing field: {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} malformed: {exc}") from None
 
 
@@ -89,9 +89,10 @@ def _path(doc: dict, key: str, default=MISSING):
 def config_fields(cls, doc: dict, supplied=()) -> dict:
     """Keyword arguments for the config dataclass `cls` read from a JSON object.
 
-    A key naming an int or float field is converted to that type, other
-    values are taken as they are. A field the document omits is left out,
-    so the dataclass default applies; a required one raises KeyError.
+    A key naming an int or float field is converted to that type and must
+    be finite (int() of an infinity raises OverflowError); other values are
+    taken as they are. A field the document omits is left out, so the
+    dataclass default applies; a required one raises KeyError.
     Fields named in `supplied`, which the caller fills in, and keys naming
     no field are ignored. A document that is not an object raises TypeError.
     """
@@ -103,7 +104,11 @@ def config_fields(cls, doc: dict, supplied=()) -> dict:
             continue
         if f.name in doc:
             value = doc[f.name]
-            out[f.name] = types[f.name](value) if types[f.name] in (int, float) else value
+            if types[f.name] in (int, float):
+                value = types[f.name](value)
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite, got {value}")
+            out[f.name] = value
         elif f.default is MISSING and f.default_factory is MISSING:
             raise KeyError(f.name)
     return out
@@ -340,29 +345,6 @@ def write_metrics_csv(path, rows: list[MetricRow]) -> None:
             for r in rows
         ),
     )
-
-
-def read_metrics_csv(path) -> list[MetricRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METRICS_HEADER:
-            raise ValidationError(f"{path}: unexpected metrics header {header}")
-        for line in reader:
-            rows.append(
-                MetricRow(
-                    method=line[0],
-                    a=float(line[1]),
-                    k=float(line[2]),
-                    n=int(line[3]),
-                    seed=int(line[4]),
-                    balanced_accuracy=float(line[5]),
-                    approx_error=float(line[6]),
-                    wall_clock_seconds=float(line[7]),
-                )
-            )
-    return rows
 
 
 def aggregate_rows(rows: list[MetricRow]) -> list[tuple]:

@@ -25,16 +25,6 @@ def as_float_matrix(arr, name: str) -> np.ndarray:
     return out
 
 
-def check_sample_weights(weights, n_rows: int) -> np.ndarray:
-    """Per-row weights as a finite, nonnegative float vector of length `n_rows`."""
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n_rows,):
-        raise ValidationError("sample_weights length must match rows")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValidationError("sample_weights must be finite and nonnegative")
-    return w
-
-
 def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
     y = np.asarray(arr)
     if y.ndim != 1:
@@ -87,14 +77,9 @@ class UnlabeledDataset:
 
 @dataclass
 class LabeledDataset(UnlabeledDataset):
-    """Feature blocks plus integer labels in {1..K}.
-
-    ``sample_weights`` are optional nonnegative per-row weights used by
-    hard-label fitting.
-    """
+    """Feature blocks plus integer labels in {1..K}."""
 
     y: np.ndarray
-    sample_weights: np.ndarray | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -104,8 +89,6 @@ class LabeledDataset(UnlabeledDataset):
             raise ValidationError(
                 f"row mismatch: z has {self.z.shape[0]}, x has {self.x.shape[0]}, y has {n}"
             )
-        if self.sample_weights is not None:
-            self.sample_weights = check_sample_weights(self.sample_weights, n)
 
     @property
     def n_classes(self) -> int:

@@ -2,11 +2,13 @@
 unlabeled target rows, given source-fitted models.
 
 The E-step turns source posteriors into target responsibilities through the
-conditional-ratio reweighting; the M-step refits the shifted conditional
-model on those responsibilities, warm-started from the previous round so the
-marginal-likelihood surrogate can only go up. The prior-only correction
-(empty conditioning block) and the uncorrected baseline fall out as special
-cases.
+conditional-ratio reweighting: `adjust_posterior(p_xz, q_z, p_z)` on the
+clamped source posterior p(y | z, x), shifted conditional q(y | z; theta) and
+source conditional p(y | z) of every target row. The M-step refits the
+shifted conditional model on those responsibilities, warm-started from the
+previous round so the marginal-likelihood surrogate can only go up. The
+prior-only correction (empty conditioning block) and the uncorrected
+baseline fall out as special cases.
 
 The shifted model sees the conditioning block z only through its distinct
 rows. `fit_cpsm` groups the target's z rows into patterns once; each M-step
@@ -21,13 +23,14 @@ unchanged.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import AdjustResult, ConditionalRatios, adjust_posterior, check_posterior
-from .data import UnlabeledDataset, as_float_matrix
+from .adjust import adjust_posterior
+from .data import UnlabeledDataset
 from .errors import NumericalError, ValidationError
 from .softmax import (
     FitConfig,
@@ -58,10 +61,6 @@ class SourceModels:
                 "posterior model must cover at least the conditioning features"
             )
 
-    @property
-    def n_classes(self) -> int:
-        return self.posterior_model.n_classes
-
 
 @dataclass
 class EmConfig:
@@ -76,8 +75,10 @@ class EmConfig:
     def __post_init__(self):
         if self.max_em_iters < 0:
             raise ValidationError(f"max_em_iters must be >= 0, got {self.max_em_iters}")
-        if self.em_tolerance <= 0:
-            raise ValidationError("em_tolerance must be positive")
+        if not 0.0 < self.em_tolerance < math.inf:
+            raise ValidationError(
+                f"em_tolerance must be positive and finite, got {self.em_tolerance}"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,20 +111,6 @@ def _source_probs(source: SourceModels, target: UnlabeledDataset) -> tuple[np.nd
     p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
     p_z = clamp_probs(predict_proba(source.conditional_model, target.z))
     return p_xz, p_z
-
-
-def _responsibilities(p_xz: np.ndarray, p_z: np.ndarray, q_z: np.ndarray) -> AdjustResult:
-    """Source posteriors reweighted by the clamped conditionals q(y | z; theta)
-    over p(y | z), per row."""
-    return adjust_posterior(p_xz, ConditionalRatios(numerator=q_z, denominator=p_z))
-
-
-def e_step(source: SourceModels, target: UnlabeledDataset, theta: SoftmaxParams) -> np.ndarray:
-    """Target responsibilities under the current shifted conditional model."""
-    if theta.n_classes != source.n_classes or theta.n_features != target.d_z:
-        raise ValidationError("theta does not match source models / target dimensions")
-    p_xz, p_z = _source_probs(source, target)
-    return _responsibilities(p_xz, p_z, clamp_probs(predict_proba(theta, target.z))).posterior
 
 
 class _Patterns(NamedTuple):
@@ -168,19 +155,6 @@ def _fit_patterns(
     return fit_soft(patterns.rows, means, inner, init=init, sample_weights=patterns.counts)
 
 
-def m_step(
-    target_z,
-    responsibilities,
-    inner: FitConfig,
-    init: SoftmaxParams | None = None,
-) -> SoftmaxParams:
-    """Refit the shifted conditional model on soft responsibilities; rows
-    that share a z pattern enter the fit as one row weighted by their count."""
-    z = as_float_matrix(target_z, "target_z")
-    resp = check_posterior(responsibilities, "responsibilities", n_rows=z.shape[0])
-    return _fit_patterns(_distinct_rows(z), resp, inner, init)
-
-
 def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -> CpsmFit:
     """Run EM from the source conditional model as the starting point.
 
@@ -199,7 +173,7 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
         if it > 0:
             theta = _fit_patterns(patterns, result.posterior, config.inner, theta)
             q_z = clamp_probs(predict_proba(theta, patterns.rows))[patterns.inverse]
-        result = _responsibilities(p_xz, p_z, q_z)
+        result = adjust_posterior(p_xz, q_z, p_z)
         value = float(np.log(result.row_normalizer).sum())
         if not np.isfinite(value):
             raise NumericalError(f"non-finite surrogate log-likelihood at iteration {it}")

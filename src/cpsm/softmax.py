@@ -12,13 +12,14 @@ the one objective, shared by `fit_soft`, `log_likelihood` and its gradient.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjust import check_posterior
-from .data import LabeledDataset, as_float_matrix, check_sample_weights
+from .data import LabeledDataset, as_float_matrix
 from .errors import NumericalError, ValidationError
 
 PROB_EPS = 1e-12
@@ -100,10 +101,12 @@ class FitConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tolerance <= 0:
-            raise ValidationError("tolerance must be positive")
-        if self.l2_penalty < 0:
-            raise ValidationError("l2_penalty must be nonnegative")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if not 0.0 <= self.l2_penalty < math.inf:
+            raise ValidationError(
+                f"l2_penalty must be nonnegative and finite, got {self.l2_penalty}"
+            )
 
 
 def _check_features(features, n_features: int) -> np.ndarray:
@@ -216,8 +219,9 @@ def _maximize(objective, w0: np.ndarray, config: FitConfig):
             break
         s = (cand - w).ravel()
         y = (g - new_g).ravel()
-        sy = float(s @ y)
-        if sy > _CURVATURE_EPS * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        sy, y_norm = float(s @ y), float(np.linalg.norm(y))
+        # A pair whose y @ y underflowed to 0 cannot scale `_two_loop`.
+        if y_norm > 0.0 and sy > _CURVATURE_EPS * float(np.linalg.norm(s)) * y_norm:
             history.append((s, y, 1.0 / sy))
         delta = float(np.max(np.abs(s)))
         w, obj, g = cand, cand_obj, new_g
@@ -245,7 +249,11 @@ def fit_soft(
     t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
     n, d = feats.shape
     n_classes = t.shape[1]
-    weights = np.ones(n) if sample_weights is None else check_sample_weights(sample_weights, n)
+    weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValidationError("sample_weights length must match rows")
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValidationError("sample_weights must be finite and nonnegative")
     if init is None:
         w0 = np.zeros((n_classes - 1, 1 + d))
     else:
@@ -284,7 +292,7 @@ def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx")
         )
     feats = data.features(feature_block)
     targets = one_hot(data.y, data.n_classes)
-    return fit_soft(feats, targets, config, sample_weights=data.sample_weights)
+    return fit_soft(feats, targets, config)
 
 
 def _unit_weight_problem(params: SoftmaxParams, features, targets):

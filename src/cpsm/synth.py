@@ -66,8 +66,8 @@ class SynthConfig:
             raise ValidationError("source_cond_prob must lie in (0, 1)")
         if not 0.0 < self.target_prior < 1.0:
             raise ValidationError("target_prior must lie in (0, 1)")
-        if self.shift_slope < 0:
-            raise ValidationError("shift_slope must be >= 0")
+        if not 0.0 <= self.shift_slope < math.inf:
+            raise ValidationError(f"shift_slope must be >= 0 and finite, got {self.shift_slope}")
 
 
 def calibrate_intercept(

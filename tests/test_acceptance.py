@@ -13,7 +13,6 @@ import pytest
 
 import cpsm
 from cpsm import (
-    ConditionalRatios,
     EmConfig,
     LabeledDataset,
     ShiftProtocolConfig,
@@ -92,7 +91,7 @@ def test_criterion_01_posterior_transform_is_exact():
         expected = np.array(
             [bayes_posterior_from_joint(joint["q_joint"], x, z) for x, z in cells]
         )
-        got = adjust_posterior(posterior, ConditionalRatios(num, den)).posterior
+        got = adjust_posterior(posterior, num, den).posterior
         worst = max(worst, float(np.max(np.abs(got - expected))))
     elapsed = time.perf_counter() - start
     _report(

@@ -5,39 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsm import (
-    ConditionalRatios,
-    ValidationError,
-    adjust_posterior,
-    surrogate_observed_loglik,
-)
+from cpsm import ValidationError, adjust_posterior
 
 from helpers import bayes_posterior_from_joint, random_discrete_joint
-
-
-def _ratios(num, den):
-    return ConditionalRatios(numerator=np.asarray(num, float), denominator=np.asarray(den, float))
 
 
 def test_unit_ratios_are_identity():
     posterior = np.array([[0.25, 0.75], [0.5, 0.5], [1.0, 0.0]])
     ones = np.ones_like(posterior)
-    result = adjust_posterior(posterior, _ratios(ones, ones))
+    result = adjust_posterior(posterior, ones, ones)
     assert np.array_equal(result.posterior, posterior)
     assert np.array_equal(result.row_normalizer, np.ones(3))
-    assert surrogate_observed_loglik(posterior, _ratios(ones, ones)) == 0.0
+    assert np.log(result.row_normalizer).sum() == 0.0
 
 
 def test_single_row_reweighting_value():
     # p(class 1) 0.6 with conditional rates moving 0.4 -> 0.5.
     posterior = np.array([[0.6, 0.4]])
-    ratios = _ratios([[0.5, 0.5]], [[0.4, 0.6]])
     expected_1 = (0.6 * (0.5 / 0.4)) / (0.6 * (0.5 / 0.4) + 0.4 * (0.5 / 0.6))
-    result = adjust_posterior(posterior, ratios)
+    result = adjust_posterior(posterior, [[0.5, 0.5]], [[0.4, 0.6]])
     assert result.posterior[0, 0] == pytest.approx(expected_1, abs=1e-12)
     assert result.posterior[0, 0] == pytest.approx(0.692308, abs=1e-6)
     assert result.row_normalizer[0] == pytest.approx(0.6 * 1.25 + 0.4 * (0.5 / 0.6), abs=1e-12)
-    value = surrogate_observed_loglik(posterior, ratios)
+    value = np.log(result.row_normalizer).sum()
     assert value == pytest.approx(math.log(1.0833333333333333), abs=1e-12)
     assert value == pytest.approx(0.080043, abs=1e-6)
 
@@ -59,7 +49,7 @@ def test_matches_brute_force_bayes_on_discrete_joints():
         expected = np.array(
             [bayes_posterior_from_joint(joint["q_joint"], x, z) for x, z in cells]
         )
-        result = adjust_posterior(posterior, _ratios(num, den))
+        result = adjust_posterior(posterior, num, den)
         assert np.max(np.abs(result.posterior - expected)) < 1e-12
 
 
@@ -71,18 +61,18 @@ def test_common_row_scaling_is_absorbed(scale, seed):
     posterior /= posterior.sum(axis=1, keepdims=True)
     num = rng.random((4, 3)) + 0.05
     den = rng.random((4, 3)) + 0.05
-    base = adjust_posterior(posterior, _ratios(num, den)).posterior
+    base = adjust_posterior(posterior, num, den).posterior
     scaled_num = num.copy()
     scaled_num[2] *= scale
-    scaled = adjust_posterior(posterior, _ratios(scaled_num, den)).posterior
+    scaled = adjust_posterior(posterior, scaled_num, den).posterior
     assert np.max(np.abs(base - scaled)) < 1e-12
 
 
 def test_raising_one_ratio_raises_its_probability():
     posterior = np.array([[0.3, 0.5, 0.2]])
     den = np.array([[0.4, 0.4, 0.2]])
-    low = adjust_posterior(posterior, _ratios(np.array([[0.3, 0.4, 0.3]]), den)).posterior
-    high = adjust_posterior(posterior, _ratios(np.array([[0.5, 0.4, 0.3]]), den)).posterior
+    low = adjust_posterior(posterior, np.array([[0.3, 0.4, 0.3]]), den).posterior
+    high = adjust_posterior(posterior, np.array([[0.5, 0.4, 0.3]]), den).posterior
     assert high[0, 0] > low[0, 0]
     assert high[0, 1] < low[0, 1]
 
@@ -90,23 +80,31 @@ def test_raising_one_ratio_raises_its_probability():
 def test_shape_mismatch_rejected():
     posterior = np.array([[0.5, 0.5]])
     with pytest.raises(ValidationError):
-        adjust_posterior(posterior, _ratios(np.ones((2, 2)), np.ones((1, 2))))
+        adjust_posterior(posterior, np.ones((2, 2)), np.ones((1, 2)))
     with pytest.raises(ValidationError):
-        adjust_posterior(posterior, _ratios(np.ones((1, 3)), np.ones((1, 3))))
+        adjust_posterior(posterior, np.ones((1, 3)), np.ones((1, 3)))
 
 
 def test_non_stochastic_posterior_rejected():
     with pytest.raises(ValidationError):
-        adjust_posterior(np.array([[0.7, 0.7]]), _ratios(np.ones((1, 2)), np.ones((1, 2))))
+        adjust_posterior(np.array([[0.7, 0.7]]), np.ones((1, 2)), np.ones((1, 2)))
 
 
 def test_negative_ratio_entries_rejected():
     with pytest.raises(ValidationError):
-        _ratios([[-0.1, 1.1]], [[0.5, 0.5]])
+        adjust_posterior([[0.5, 0.5]], [[-0.1, 1.1]], [[0.5, 0.5]])
+
+
+def test_non_finite_ratio_entries_rejected():
+    posterior = np.array([[0.5, 0.5]])
+    with pytest.raises(ValidationError, match="finite"):
+        adjust_posterior(posterior, [[np.nan, 1.0]], [[0.5, 0.5]])
+    with pytest.raises(ValidationError, match="finite"):
+        adjust_posterior(posterior, [[0.5, 0.5]], [[np.inf, 1.0]])
 
 
 def test_extreme_denominators_survive_clamping():
     posterior = np.array([[0.5, 0.5]])
-    result = adjust_posterior(posterior, _ratios([[1.0, 1.0]], [[0.0, 1.0]]))
+    result = adjust_posterior(posterior, [[1.0, 1.0]], [[0.0, 1.0]])
     assert np.all(np.isfinite(result.posterior))
     assert result.posterior[0, 0] > 0.99

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import dataclasses
 
@@ -7,12 +8,27 @@ import numpy as np
 import pytest
 
 from cpsm import bench
-from cpsm.bench import read_metrics_csv
 from cpsm.cli import main
 from cpsm.data import read_dataset_csv
 from cpsm.em import EmConfig
+from cpsm.metrics import MetricRow
 from cpsm.softmax import FitConfig
 from cpsm.synth import SynthConfig
+
+
+def _read_metrics(path):
+    """The rows of a benchmark metrics CSV, after checking its header."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == bench.METRICS_HEADER
+        return [
+            MetricRow(
+                r["method"], float(r["a"]), float(r["k"]), int(r["n"]), int(r["seed"]),
+                float(r["balanced_accuracy"]), float(r["approx_error"]),
+                float(r["wall_clock_seconds"]),
+            )
+            for r in reader
+        ]
 
 
 def _write_json(path, doc):
@@ -149,6 +165,19 @@ def test_adapt_labeled_target_rejected(tmp_path):
     assert main(["adapt", source, source, "--output", str(tmp_path / "bad")]) == 2
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf"])
+def test_adapt_non_finite_em_tolerance_exits_2_and_writes_nothing(tmp_path, capsys, tolerance):
+    # A NaN tolerance fails every `gain < tolerance` test, so the EM would
+    # run all its rounds with the stop rule silently off.
+    source, target = _generated_pair(tmp_path)
+    capsys.readouterr()
+    assert main(["adapt", source, target, "--em-tolerance", tolerance,
+                 "--output", str(tmp_path / "tol")]) == 2
+    assert "em_tolerance must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "tol.fit.json").exists()
+    assert not (tmp_path / "tol.posterior.csv").exists()
+
+
 def test_adapt_missing_file_exits_4(tmp_path):
     source, target = _generated_pair(tmp_path)
     assert main(["adapt", str(tmp_path / "nope.csv"), target,
@@ -178,7 +207,7 @@ def _bench_config(tmp_path, name="bench", **overrides):
 def test_benchmark_row_count_and_order(tmp_path):
     config = _bench_config(tmp_path)
     assert main(["benchmark", config]) == 0
-    rows = read_metrics_csv(tmp_path / "bench.csv")
+    rows = _read_metrics(tmp_path / "bench.csv")
     # 2 cells x 2 methods x 2 repetitions.
     assert len(rows) == 8
     keys = [(r.a, r.k, r.n, r.method, r.seed) for r in rows]
@@ -198,7 +227,7 @@ def test_benchmark_is_byte_deterministic(tmp_path):
 def test_benchmark_aggregate_matches_row_means(tmp_path):
     config = _bench_config(tmp_path, name="agg")
     assert main(["benchmark", config]) == 0
-    rows = read_metrics_csv(tmp_path / "agg.csv")
+    rows = _read_metrics(tmp_path / "agg.csv")
     with open(tmp_path / "agg_agg.csv") as fh:
         agg = list(csv.DictReader(fh))
     for record in agg:
@@ -220,7 +249,7 @@ def test_benchmark_wall_clock_measurement_optional(tmp_path):
         grid={"a": [0.3], "k": [1.0], "n": [150]}, repetitions=1,
     )
     assert main(["benchmark", config]) == 0
-    rows = read_metrics_csv(tmp_path / "timed.csv")
+    rows = _read_metrics(tmp_path / "timed.csv")
     assert any(r.wall_clock_seconds > 0.0 for r in rows)
 
 
@@ -243,7 +272,7 @@ def test_benchmark_records_failed_cells_and_continues(tmp_path, capsys):
         repetitions=2,
     )
     assert main(["benchmark", config]) == 0
-    rows = read_metrics_csv(tmp_path / "fail.csv")
+    rows = _read_metrics(tmp_path / "fail.csv")
     assert len(rows) == 2
     assert all(np.isnan(r.balanced_accuracy) for r in rows)
     assert "run failed" in capsys.readouterr().err
@@ -314,11 +343,19 @@ def _labeled_csv(tmp_path):
         ("benchmark", {"generator": {"kind": "resample", "input_csv": ["labeled.csv"]}}),
         ("benchmark", {"output_path": 987654}),
         ("benchmark", {"aggregate_path": ["agg.csv"]}),
+        # Numbers must be finite: a NaN slope fails no comparison and a NaN
+        # ridge switches the ridge off, and int() of an infinity overflows.
+        ("generate", {"shift_slope": math.nan}),
+        ("benchmark", {"fit": {"l2_penalty": math.nan}}),
+        ("benchmark", {"em": {"em_tolerance": math.inf}}),
+        ("generate", {"n_source": math.inf}),
+        ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [math.inf]}}),
     ],
     ids=["resample-rate-not-a-number", "size-not-a-number", "generator-not-an-object",
          "inner-not-an-object", "fit-not-an-object", "input-csv-not-a-path",
          "output-dir-fd", "output-dir-list", "benchmark-input-csv-not-a-path",
-         "output-path-fd", "aggregate-path-list"],
+         "output-path-fd", "aggregate-path-list", "slope-nan", "ridge-nan",
+         "em-tolerance-infinite", "size-infinite", "grid-size-infinite"],
 )
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides):
     if overrides.get("kind") == "resample":
@@ -346,9 +383,12 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, 
         {"generator": {"kind": "resample"}, "grid": {"a": [0.2], "k": [0.9], "n": [50]}},
         {"generator": {"kind": "resample", "conditioning_column": 99},
          "grid": {"a": [0.2], "k": [0.3], "n": [50]}},
+        {"grid": {"a": [0.3], "k": [math.nan], "n": [150]}},
+        {"grid": {"a": [0.3], "k": [math.inf], "n": [150]}},
     ],
     ids=["bad-kind", "prior-out-of-range", "negative-slope", "zero-rows",
-         "rate-plus-shift-out-of-range", "conditioning-column-out-of-range"],
+         "rate-plus-shift-out-of-range", "conditioning-column-out-of-range",
+         "slope-nan", "slope-infinite"],
 )
 def test_benchmark_rejects_unusable_generator_or_grid_before_any_run(tmp_path, capsys, overrides):
     if overrides.get("generator", {}).get("kind") == "resample":

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from cpsm import (
-    ConditionalRatios,
     EmConfig,
     SoftmaxParams,
     SourceModels,
@@ -13,11 +12,9 @@ from cpsm import (
     UnlabeledDataset,
     ValidationError,
     adjust_posterior,
-    e_step,
     fit_cpsm,
     fit_mlls,
     generate_pair,
-    m_step,
     naive_posterior,
     params_from_dict,
     params_from_prior,
@@ -58,12 +55,15 @@ def small_models(small_pair):
     )
 
 
-def test_e_step_at_initialization_equals_naive(small_pair, small_models):
-    _, target = small_pair
-    unlabeled = target.unlabeled()
-    resp = e_step(small_models, unlabeled, small_models.conditional_model)
-    raw = predict_proba(small_models.posterior_model, unlabeled.features("zx"))
-    assert np.max(np.abs(resp - raw)) < 1e-14
+def _e_step(models, target, theta):
+    """Reference E-step: target responsibilities under `theta`, composed from
+    the public pieces. `_row_wise_em` runs it every round, and
+    `test_grouped_em_is_bitwise_row_wise_em_when_every_z_row_is_distinct`
+    ties it to `fit_cpsm` bit for bit."""
+    p_xz = clamp_probs(predict_proba(models.posterior_model, target.features("zx")))
+    p_z = clamp_probs(predict_proba(models.conditional_model, target.z))
+    q_z = clamp_probs(predict_proba(theta, target.z))
+    return adjust_posterior(p_xz, q_z, p_z)
 
 
 def test_e_step_prior_only_reduces_to_classic_update():
@@ -80,7 +80,7 @@ def test_e_step_prior_only_reduces_to_classic_update():
         conditional_model=params_from_prior(source_prior),
     )
     target = UnlabeledDataset(z=np.zeros((3, 0)), x=feats)
-    resp = e_step(models, target, params_from_prior(target_prior))
+    resp = _e_step(models, target, params_from_prior(target_prior)).posterior
 
     p = predict_proba(posterior_model, feats)
     ratio = target_prior / source_prior
@@ -135,20 +135,20 @@ def test_e_step_matches_brute_force_on_discrete_joint():
         x=np.array([[float(x)] for x, _ in cells]),
     )
     models = SourceModels(posterior_model=posterior_model, conditional_model=conditional_model)
-    resp = e_step(models, target, theta)
+    resp = _e_step(models, target, theta).posterior
     expected = np.array([bayes_posterior_from_joint(q_joint, x, z) for x, z in cells])
     assert np.max(np.abs(resp - expected)) < 1e-12
 
 
 def test_m_step_uniform_responsibilities_give_zero_intercepts():
     resp = np.full((300, 2), 0.5)
-    params = m_step(np.zeros((300, 0)), resp, FitConfig(l2_penalty=0.0))
+    params = fit_soft(np.zeros((300, 0)), resp, FitConfig(l2_penalty=0.0))
     assert abs(params.intercepts[0]) < 1e-6
 
 
 def test_m_step_constant_responsibilities_fit_their_mean():
     resp = np.tile([0.8, 0.2], (400, 1))
-    params = m_step(np.zeros((400, 0)), resp, FitConfig(l2_penalty=0.0))
+    params = fit_soft(np.zeros((400, 0)), resp, FitConfig(l2_penalty=0.0))
     fitted = predict_proba(params, np.zeros((1, 0)))[0, 0]
     assert fitted == pytest.approx(0.8, abs=1e-4)
 
@@ -321,15 +321,12 @@ def test_shift_recovery_beats_uncorrected_posteriors():
 def _row_wise_em(models, target, config):
     """Reference EM that refits and scores the shifted model on every target
     row: the loop `fit_cpsm` ran before it grouped z into distinct patterns."""
-    p_xz = clamp_probs(predict_proba(models.posterior_model, target.features("zx")))
-    p_z = clamp_probs(predict_proba(models.conditional_model, target.z))
     theta = models.conditional_model
     trace = []
     for it in range(config.max_em_iters + 1):
         if it > 0:
             theta = fit_soft(target.z, result.posterior, config.inner, init=theta)
-        q_z = clamp_probs(predict_proba(theta, target.z))
-        result = adjust_posterior(p_xz, ConditionalRatios(numerator=q_z, denominator=p_z))
+        result = _e_step(models, target, theta)
         trace.append(float(np.log(result.row_normalizer).sum()))
         if it > 0 and trace[-1] - trace[-2] < config.em_tolerance:
             break
@@ -424,11 +421,7 @@ def test_mlls_follows_the_classic_prior_only_em(small_pair):
     assert np.max(np.abs(result.estimated_prior - prior)) <= 1e-6
 
 
-def test_mismatched_models_rejected(small_pair, small_models):
-    _, target = small_pair
-    bad_theta = SoftmaxParams.zeros(2, target.d_z + 1)
-    with pytest.raises(ValidationError):
-        e_step(small_models, target.unlabeled(), bad_theta)
+def test_mismatched_models_rejected(small_models):
     with pytest.raises(ValidationError):
         SourceModels(
             posterior_model=SoftmaxParams.zeros(2, 3),

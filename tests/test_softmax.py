@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cpsm import LabeledDataset, SoftmaxParams, ValidationError, predict_proba
 from cpsm.softmax import (
     FitConfig,
+    _maximize,
     _objective,
     fit_hard,
     fit_soft,
@@ -244,13 +245,10 @@ def test_warm_start_never_hurts_objective():
 
 def test_sample_weights_reweight_the_fit():
     # Class 1 carries twice the weight, so the intercept-only fit lands at 2/3.
-    data = LabeledDataset(
-        z=np.zeros((2, 0)),
-        x=np.zeros((2, 0)),
-        y=np.array([1, 2]),
-        sample_weights=np.array([2.0, 1.0]),
+    params = fit_soft(
+        np.zeros((2, 0)), one_hot(np.array([1, 2]), 2), FitConfig(l2_penalty=0.0),
+        sample_weights=[2, 1],
     )
-    params = fit_hard(data, FitConfig(l2_penalty=0.0))
     fitted = predict_proba(params, np.zeros((1, 0)))[0, 0]
     assert fitted == pytest.approx(2.0 / 3.0, abs=1e-4)
 
@@ -270,6 +268,11 @@ def test_fit_config_validation():
         FitConfig(tolerance=0.0)
     with pytest.raises(ValidationError):
         FitConfig(l2_penalty=-1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            FitConfig(tolerance=value)
+        with pytest.raises(ValidationError, match="l2_penalty must be nonnegative and finite"):
+            FitConfig(l2_penalty=value)
 
 
 def test_params_are_immutable():
@@ -293,3 +296,14 @@ def test_label_gap_rejected_naming_the_label():
     )
     with pytest.raises(ValidationError, match=r"no rows have label 2\b.*1\.\.3"):
         fit_hard(data, FitConfig())
+
+
+def test_underflowed_curvature_pair_is_skipped():
+    # exp(-w) flattens out as the ascent runs: once the gradient difference
+    # y is below about 1e-162, y @ y underflows to 0, and a curvature pair
+    # stored with it would divide by zero in the two-loop scaling.
+    w, trace = _maximize(
+        lambda w: (float(-np.exp(-w[0, 0])), np.exp(-w)), np.zeros((1, 1)), FitConfig()
+    )
+    assert np.all(np.isfinite(w)) and w[0, 0] > 300.0
+    assert np.all(np.diff(trace) >= 0.0)

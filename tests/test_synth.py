@@ -153,6 +153,14 @@ def test_mean_layout_requires_room_for_indicator():
         SynthConfig(dataset_kind="bernoulli_z", n_source=10, n_target=10, d_z=5, d_x=5)
 
 
+@pytest.mark.parametrize("slope", [math.nan, math.inf])
+def test_shift_slope_must_be_finite_and_nonnegative(slope):
+    # A NaN slope fails `slope < 0` and would generate a target whose
+    # class-1 rate is 0.0 whatever target_prior asks for.
+    with pytest.raises(ValidationError, match="shift_slope"):
+        SynthConfig(dataset_kind="bernoulli_z", n_source=10, n_target=10, shift_slope=slope)
+
+
 def _toy_family():
     cond = SoftmaxParams(2, 1, np.array([0.0]), np.array([[0.7]]))
     return GaussianGenConfig(
