@@ -56,6 +56,10 @@ _KINDS = {
     "synthetic": (SynthConfig, ("target_prior", "shift_slope", "n_source", "n_target", "seed")),
     "resample": (ShiftProtocolConfig, ("base_rate", "shift_delta", "n_source", "n_target", "seed")),
 }
+_BENCHMARK_KEYS = (
+    "generator", "methods", "grid", "repetitions", "base_seed", "output_path",
+    "aggregate_path", "measure_wall_clock", "em",
+)
 
 
 @contextlib.contextmanager
@@ -86,18 +90,47 @@ def _path(doc: dict, key: str, default=MISSING):
     return value
 
 
-def config_fields(cls, doc: dict, supplied=()) -> dict:
+def _check_keys(doc: dict, allowed) -> None:
+    """Reject a key of a JSON object that names no setting: a misspelt key
+    would otherwise leave its setting at the default without a word."""
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        raise ValueError(
+            f"unknown key {', '.join(map(repr, unknown))}, expected one of {sorted(allowed)}"
+        )
+
+
+def _number(name: str, value, kind: type):
+    """A JSON number as a finite float or, for `kind` int, a whole one as an
+    int (a fraction is not truncated)."""
+    if kind is int and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    if kind is int:
+        if not number.is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        return int(number)
+    return number
+
+
+def config_fields(cls, doc: dict, supplied=(), extra=()) -> dict:
     """Keyword arguments for the config dataclass `cls` read from a JSON object.
 
-    A key naming an int or float field is converted to that type and must
-    be finite (int() of an infinity raises OverflowError); other values are
-    taken as they are. A field the document omits is left out, so the
-    dataclass default applies; a required one raises KeyError.
-    Fields named in `supplied`, which the caller fills in, and keys naming
-    no field are ignored. A document that is not an object raises TypeError.
+    A key naming an int or float field is read with `_number`; other values
+    are taken as they are. A field the document omits is left out, so the
+    dataclass default applies; a required one raises KeyError. Fields named
+    in `supplied`, which the caller fills in, are ignored. A key naming
+    neither a field nor one of `extra` raises ValueError, and a document
+    that is not an object raises TypeError.
     """
     _as_object(doc)
     types = typing.get_type_hints(cls)
+    _check_keys(doc, {f.name for f in fields(cls)}.union(extra))
     out = {}
     for f in fields(cls):
         if f.name in supplied:
@@ -105,11 +138,9 @@ def config_fields(cls, doc: dict, supplied=()) -> dict:
         if f.name in doc:
             value = doc[f.name]
             if types[f.name] in (int, float):
-                value = types[f.name](value)
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite, got {value}")
+                value = _number(f.name, value, types[f.name])
             out[f.name] = value
-        elif f.default is MISSING and f.default_factory is MISSING:
+        elif f.default is MISSING:
             raise KeyError(f.name)
     return out
 
@@ -139,16 +170,17 @@ class Generator:
         return induce_conditional_shift(self.base, config)
 
 
-def parse_generator(doc, grid: bool = False) -> Generator:
-    """Read and check a generator block. With `grid`, each benchmark run
-    supplies the per-run fields, and the block's own values for them are
-    ignored."""
+def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
+    """Read and check a generator block, which may also hold the keys in
+    `extra`. With `grid`, each benchmark run supplies the per-run fields,
+    and the block's own values for them are ignored."""
     with _config_errors("benchmark config" if grid else "generation config"):
         kind = _as_object(doc).get("kind", "synthetic")
         if kind not in _KINDS:
             raise ValidationError(f"unknown generator kind {kind!r}")
         cls, run_fields = _KINDS[kind]
-        settings = config_fields(cls, doc, supplied=run_fields if grid else ())
+        extra = ("kind", "input_csv", *extra) if kind == "resample" else ("kind", *extra)
+        settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
         base = read_labeled_csv(_path(doc, "input_csv"), "resample input") if kind == "resample" else None
     return Generator(kind, settings, base)
 
@@ -156,7 +188,7 @@ def parse_generator(doc, grid: bool = False) -> Generator:
 def parse_generation(doc: dict) -> tuple[Generator, str]:
     """A `cpsm generate` config: its generator block and output directory."""
     with _config_errors("generation config"):
-        return parse_generator(doc), _path(doc, "output_dir", ".")
+        return parse_generator(doc, extra=("output_dir",)), _path(doc, "output_dir", ".")
 
 
 @dataclass
@@ -172,7 +204,6 @@ class ExperimentConfig:
     aggregate_path: str | None = None
     measure_wall_clock: bool = False
     em: EmConfig = field(default_factory=EmConfig)
-    fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         if not self.methods:
@@ -197,32 +228,25 @@ class ExperimentConfig:
                 yield (a, k, n, seed), dict(zip(run_fields, (a, k, n, n, seed)))
 
 
-def _em_config_from(doc: dict) -> EmConfig:
-    settings = config_fields(EmConfig, doc, supplied=("inner",))
-    if "inner" in doc:
-        # A partial inner block keeps the M-step defaults, not FitConfig's.
-        settings["inner"] = replace(EmConfig().inner, **config_fields(FitConfig, doc["inner"]))
-    return EmConfig(**settings)
-
-
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate the benchmark JSON document, including the
     generator config of every run."""
     with _config_errors("benchmark config"):
-        grid = doc["grid"]
+        _check_keys(_as_object(doc), _BENCHMARK_KEYS)
+        grid = _as_object(doc["grid"])
+        _check_keys(grid, ("a", "k", "n"))
         return ExperimentConfig(
             generator=parse_generator(doc["generator"], grid=True),
             methods=list(doc["methods"]),
             grid_a=[float(v) for v in grid["a"]],
             grid_k=[float(v) for v in grid["k"]],
-            grid_n=[int(v) for v in grid["n"]],
-            repetitions=int(doc["repetitions"]),
-            base_seed=int(doc["base_seed"]),
+            grid_n=[_number("n", v, int) for v in grid["n"]],
+            repetitions=_number("repetitions", doc["repetitions"], int),
+            base_seed=_number("base_seed", doc["base_seed"], int),
             output_path=_path(doc, "output_path"),
             aggregate_path=_path(doc, "aggregate_path", None),
             measure_wall_clock=bool(doc.get("measure_wall_clock", False)),
-            em=_em_config_from(doc.get("em", {})),
-            fit=FitConfig(**config_fields(FitConfig, doc.get("fit", {}))),
+            em=EmConfig(**config_fields(EmConfig, doc.get("em", {}))),
         )
 
 
@@ -232,17 +256,16 @@ class SourceFit:
     shared by every method; the prior-only correction needs no z-model."""
 
     data: LabeledDataset
-    fit: FitConfig
 
     @functools.cached_property
     def posterior_model(self) -> SoftmaxParams:
-        return fit_hard(self.data, self.fit, feature_block="zx")
+        return fit_hard(self.data, FitConfig(), feature_block="zx")
 
     @functools.cached_property
     def models(self) -> SourceModels:
         return SourceModels(
             posterior_model=self.posterior_model,
-            conditional_model=fit_hard(self.data, self.fit, feature_block="z"),
+            conditional_model=fit_hard(self.data, FitConfig(), feature_block="z"),
         )
 
 
@@ -263,7 +286,6 @@ def run_single(
     target: LabeledDataset,
     methods: list[str],
     em: EmConfig,
-    fit: FitConfig,
     measure_wall_clock: bool,
 ) -> dict[str, tuple[float, float, float]]:
     """All requested methods on one generated pair.
@@ -276,10 +298,10 @@ def run_single(
         raise ValidationError("benchmark supports binary labels only")
     clock = time.perf_counter if measure_wall_clock else (lambda: 0.0)
     unlabeled = target.unlabeled()
-    source_fit = SourceFit(source, fit)
+    source_fit = SourceFit(source)
     source_fit.models  # both source fits, before any method is timed
     t0 = clock()
-    oracle_posterior = fit_oracle(target, fit)
+    oracle_posterior = fit_oracle(target, FitConfig())
     oracle_seconds = clock() - t0
 
     out = {}
@@ -306,8 +328,7 @@ def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
         try:
             source, target = config.generator.pair(**run)
             results = run_single(
-                source, target, config.methods, config.em, config.fit,
-                config.measure_wall_clock,
+                source, target, config.methods, config.em, config.measure_wall_clock
             )
             for method in config.methods:
                 ba, err, seconds = results[method]

@@ -22,7 +22,6 @@ from .data import (
 )
 from .em import EmConfig, save_fit_json
 from .errors import NumericalError, ValidationError
-from .softmax import FitConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,7 +71,7 @@ def cmd_adapt(args) -> int:
     target = UnlabeledDataset(z=z_t, x=x_t)
 
     em_config = EmConfig(max_em_iters=args.max_em_iters, em_tolerance=args.em_tolerance)
-    fit = bench.adapt(args.method, bench.SourceFit(source, FitConfig()), target, em_config)
+    fit = bench.adapt(args.method, bench.SourceFit(source), target, em_config)
 
     json_path = f"{args.output}.fit.json"
     posterior_path = f"{args.output}.posterior.csv"

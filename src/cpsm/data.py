@@ -164,7 +164,7 @@ def read_labels_csv(path) -> np.ndarray:
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:
     if not header or header[0] != "y":
-        raise ValidationError(f"{path}: first column must be 'y', got {header[:1]}")
+        raise ValidationError(f"{path}: line 1: first column must be 'y', got {header[:1]}")
     d_z = 0
     pos = 1
     while pos < len(header) and header[pos] == f"z{d_z + 1}":
@@ -176,19 +176,21 @@ def _parse_header(header: list[str], path) -> tuple[int, int]:
         pos += 1
     if pos != len(header):
         raise ValidationError(
-            f"{path}: unexpected column {header[pos]!r} at position {pos + 1}; "
+            f"{path}: line 1: unexpected column {header[pos]!r} at position {pos + 1}; "
             f"expected y,z1..z{d_z},x1..x{d_x} layout"
         )
     return d_z, d_x
 
 
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read a dataset CSV; returns (z, x, y) with y None when all y cells are empty."""
+    """Read a dataset CSV; returns (z, x, y) with y None when all y cells are
+    empty. A malformed file raises ValidationError naming the file and line;
+    data row i is line i + 2."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValidationError(f"{path}: empty file")
+            raise ValidationError(f"{path}: line 1: empty file, expected a header")
         d_z, d_x = _parse_header(header, path)
         labels: list[int] = []
         z_rows: list[list[float]] = []
@@ -203,11 +205,12 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                 labels.append(0)
             else:
                 try:
-                    labels.append(int(row[0]))
+                    label = int(row[0])
                 except ValueError:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: field 'y': bad label {row[0]!r}"
-                    ) from None
+                    label = 0
+                if label < 1:
+                    raise ValidationError(f"{path}: line {lineno}: field 'y': bad label {row[0]!r}")
+                labels.append(label)
                 n_labeled += 1
             try:
                 z_rows.append([float(v) for v in row[1 : 1 + d_z]])
@@ -216,14 +219,22 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
                 raise ValidationError(f"{path}: line {lineno}: non-numeric feature value") from None
     n = len(labels)
     if n == 0:
-        raise ValidationError(f"{path}: no data rows")
+        raise ValidationError(f"{path}: line 2: no data rows")
     z = np.asarray(z_rows, dtype=float).reshape(n, d_z)
     x = np.asarray(x_rows, dtype=float).reshape(n, d_x)
+    finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
+    if not finite.all():
+        line = int(np.argmin(finite)) + 2
+        raise ValidationError(f"{path}: line {line}: non-finite feature value")
     if n_labeled == 0:
         return z, x, None
+    y = np.asarray(labels, dtype=int)
     if n_labeled != n:
-        raise ValidationError(f"{path}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)")
-    return z, x, np.asarray(labels, dtype=int)
+        line = int(np.argmax((y > 0) != (y[0] > 0))) + 2
+        raise ValidationError(
+            f"{path}: line {line}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)"
+        )
+    return z, x, y
 
 
 def read_labeled_csv(path, role: str) -> LabeledDataset:

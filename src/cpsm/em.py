@@ -5,10 +5,11 @@ The E-step turns source posteriors into target responsibilities through the
 conditional-ratio reweighting: `adjust_posterior(p_xz, q_z, p_z)` on the
 clamped source posterior p(y | z, x), shifted conditional q(y | z; theta) and
 source conditional p(y | z) of every target row. The M-step refits the
-shifted conditional model on those responsibilities, warm-started from the
-previous round so the marginal-likelihood surrogate can only go up. The
-prior-only correction (empty conditioning block) and the uncorrected
-baseline fall out as special cases.
+shifted conditional model on those responsibilities with the fixed solver
+settings `M_STEP`, unpenalized and warm-started from the previous round, so
+the marginal-likelihood surrogate can only go up. The prior-only correction
+(empty conditioning block) and the uncorrected baseline fall out as special
+cases.
 
 The shifted model sees the conditioning block z only through its distinct
 rows. `fit_cpsm` groups the target's z rows into patterns once; each M-step
@@ -24,14 +25,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .adjust import adjust_posterior
 from .data import UnlabeledDataset
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_integers
 from .softmax import (
     FitConfig,
     SoftmaxParams,
@@ -41,6 +42,12 @@ from .softmax import (
 )
 
 FIT_FORMAT_VERSION = 1
+
+# The M-step solver: a short warm-started budget and no ridge penalty. A
+# ridge would make each M-step maximize a penalized objective, and EM's
+# guarantee that the surrogate never decreases holds only for the M-step of
+# the plain likelihood.
+M_STEP = FitConfig(max_iters=200, l2_penalty=0.0)
 
 
 @dataclass(frozen=True)
@@ -64,17 +71,14 @@ class SourceModels:
 
 @dataclass
 class EmConfig:
-    """EM driver settings. `inner` controls each M-step; it defaults to a
-    short warm-started budget with no ridge penalty so the surrogate trace is
-    monotone exactly, not just approximately."""
+    """EM driver settings: the round budget and the stopping rule. Each
+    M-step runs the fixed solver `M_STEP`."""
 
     max_em_iters: int = 500
     em_tolerance: float = 1e-8
-    inner: FitConfig = field(default_factory=lambda: FitConfig(max_iters=200, l2_penalty=0.0))
 
     def __post_init__(self):
-        if self.max_em_iters < 0:
-            raise ValidationError(f"max_em_iters must be >= 0, got {self.max_em_iters}")
+        check_integers(self, max_em_iters=0)
         if not 0.0 < self.em_tolerance < math.inf:
             raise ValidationError(
                 f"em_tolerance must be positive and finite, got {self.em_tolerance}"
@@ -143,7 +147,7 @@ def _distinct_rows(z: np.ndarray) -> _Patterns:
 
 
 def _fit_patterns(
-    patterns: _Patterns, responsibilities: np.ndarray, inner: FitConfig, init: SoftmaxParams | None
+    patterns: _Patterns, responsibilities: np.ndarray, init: SoftmaxParams
 ) -> SoftmaxParams:
     """The M-step on grouped rows: each pattern's mean responsibilities,
     weighted by its row count."""
@@ -152,7 +156,7 @@ def _fit_patterns(
         for column in responsibilities.T
     ]
     means = np.stack(sums, axis=1) / patterns.counts[:, None]
-    return fit_soft(patterns.rows, means, inner, init=init, sample_weights=patterns.counts)
+    return fit_soft(patterns.rows, means, M_STEP, init=init, sample_weights=patterns.counts)
 
 
 def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -> CpsmFit:
@@ -171,7 +175,7 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
     trace: list[float] = []
     for it in range(config.max_em_iters + 1):
         if it > 0:
-            theta = _fit_patterns(patterns, result.posterior, config.inner, theta)
+            theta = _fit_patterns(patterns, result.posterior, theta)
             q_z = clamp_probs(predict_proba(theta, patterns.rows))[patterns.inverse]
         result = adjust_posterior(p_xz, q_z, p_z)
         value = float(np.log(result.row_normalizer).sum())

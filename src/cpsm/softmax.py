@@ -20,7 +20,7 @@ import numpy as np
 
 from .adjust import check_posterior
 from .data import LabeledDataset, as_float_matrix
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_integers
 
 PROB_EPS = 1e-12
 
@@ -99,8 +99,7 @@ class FitConfig:
     l2_penalty: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        check_integers(self, max_iters=1)
         if not 0.0 < self.tolerance < math.inf:
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if not 0.0 <= self.l2_penalty < math.inf:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ValidationError
+from .errors import ValidationError, check_integers
 from .softmax import SoftmaxParams, predict_proba
 
 BERNOULLI_Z = "bernoulli_z"
@@ -54,10 +54,7 @@ class SynthConfig:
             raise ValidationError(
                 f"dataset_kind must be '{BERNOULLI_Z}' or '{GAUSSIAN_Z}', got {self.dataset_kind!r}"
             )
-        if self.n_source < 1 or self.n_target < 1:
-            raise ValidationError("n_source and n_target must be >= 1")
-        if self.d_z < 0:
-            raise ValidationError("d_z must be >= 0")
+        check_integers(self, n_source=1, n_target=1, d_z=0, d_x=0, seed=0)
         if self.d_x < self.d_z + 1:
             raise ValidationError(
                 f"d_x must be >= d_z + 1 to hold the class indicator plus z, got d_x={self.d_x}"
@@ -278,10 +275,7 @@ class ShiftProtocolConfig:
             raise ValidationError("base_rate must lie in (0, 1)")
         if not 0.0 < self.base_rate + self.shift_delta < 1.0:
             raise ValidationError("base_rate + shift_delta must lie in (0, 1)")
-        if self.n_source < 1 or self.n_target < 1:
-            raise ValidationError("n_source and n_target must be >= 1")
-        if self.conditioning_column < 0:
-            raise ValidationError("conditioning_column must be >= 0")
+        check_integers(self, n_source=1, n_target=1, conditioning_column=0, seed=0)
 
     def check_input(self, data: LabeledDataset) -> np.ndarray:
         """Reject an input that no resampling with this conditioning column

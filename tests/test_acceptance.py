@@ -54,7 +54,7 @@ def _cell(kind: str, a: float, k: float, n: int, seed: int, methods):
         dataset_kind=kind, n_source=n, n_target=n, shift_slope=k, target_prior=a, seed=seed
     )
     source, target = generate_pair(config)
-    return run_single(source, target, list(methods), EmConfig(), FitConfig(), False)
+    return run_single(source, target, list(methods), EmConfig(), False)
 
 
 def _mean_metrics(kind, a, k, n, seeds, methods):

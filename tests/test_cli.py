@@ -2,8 +2,6 @@ import csv
 import json
 import math
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,8 @@ from cpsm import bench
 from cpsm.cli import main
 from cpsm.data import read_dataset_csv
 from cpsm.em import EmConfig
+from cpsm.errors import ValidationError
 from cpsm.metrics import MetricRow
-from cpsm.softmax import FitConfig
 from cpsm.synth import SynthConfig
 
 
@@ -178,6 +176,46 @@ def test_adapt_non_finite_em_tolerance_exits_2_and_writes_nothing(tmp_path, caps
     assert not (tmp_path / "tol.posterior.csv").exists()
 
 
+_HEADER = "y,z1,x1,x2\n"
+_ROW = "1,0.0,0.5,1.0\n"
+_UNLABELED = ",0.0,0.5,1.0\n"
+_SOURCE_CSV = _HEADER + _ROW + "2,1.0,-0.5,0.0\n1,1.0,0.1,0.2\n"
+_TARGET_CSV = _HEADER + _UNLABELED + ",1.0,-0.5,0.0\n"
+
+
+@pytest.mark.parametrize(
+    "role, text, fault",
+    [
+        ("source", _HEADER + _ROW + "2,1.0,-0.5\n", "line 3: expected 4 fields, got 3"),
+        ("source", _HEADER + _ROW + "\n2,1.0,-0.5,0.0\n", "line 3: expected 4 fields, got 0"),
+        ("source", _HEADER + _ROW + "x,1.0,-0.5,0.0\n", "line 3: field 'y': bad label 'x'"),
+        ("source", _HEADER + _ROW + "1.0,1.0,-0.5,0.0\n", "line 3: field 'y': bad label"),
+        ("source", _HEADER + _ROW + "0,1.0,-0.5,0.0\n", "line 3: field 'y': bad label '0'"),
+        ("source", _HEADER + _ROW + "2,1.0,abc,0.0\n", "line 3: non-numeric feature value"),
+        ("target", _HEADER + _UNLABELED + ",1.0,nan,0.0\n", "line 3: non-finite feature value"),
+        ("source", _HEADER + _ROW + ",1.0,-0.5,0.0\n", "line 3: mixed labeled"),
+        ("target", _HEADER + _UNLABELED + "2,1.0,-0.5,0.0\n", "line 3: mixed labeled"),
+        ("target", _HEADER, "line 2: no data rows"),
+        ("source", "", "line 1: empty file"),
+        ("target", "y,z1,w1,x1\n" + _UNLABELED, "line 1: unexpected column 'w1'"),
+    ],
+    ids=["short-row", "blank-line", "label-x", "label-float", "label-zero", "non-numeric-feature",
+         "nan-feature", "mixed-in-source", "mixed-in-target", "header-only", "empty-file",
+         "unexpected-column"],
+)
+def test_adapt_names_the_file_and_line_of_a_malformed_csv(tmp_path, capsys, role, text, fault):
+    files = {"source": _SOURCE_CSV, "target": _TARGET_CSV, role: text}
+    for name, content in files.items():
+        (tmp_path / f"{name}.csv").write_text(content)
+    bad = tmp_path / f"{role}.csv"
+    rc = main(["adapt", str(tmp_path / "source.csv"), str(tmp_path / "target.csv"),
+               "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{bad}: {fault}" in capsys.readouterr().err
+    assert not (tmp_path / "out.fit.json").exists()
+    assert not (tmp_path / "out.posterior.csv").exists()
+
+
 def test_adapt_missing_file_exits_4(tmp_path):
     source, target = _generated_pair(tmp_path)
     assert main(["adapt", str(tmp_path / "nope.csv"), target,
@@ -299,7 +337,6 @@ def test_benchmark_config_defaults_come_from_the_config_classes():
         "output_path": "unused.csv",
     }
     config = bench.experiment_config_from_dict(doc)
-    assert config.fit == FitConfig()
     assert config.em == EmConfig()
     [(cell, run)] = list(config.runs())
     assert cell == (0.3, 1.0, 50, 4)
@@ -308,15 +345,11 @@ def test_benchmark_config_defaults_come_from_the_config_classes():
         shift_slope=1.0, target_prior=0.3, seed=4,
     )
 
-    # A partial inner block keeps the M-step defaults (200 iterations, no
-    # ridge), and keys naming no setting, such as a fit seed or the former
-    # step_size, are ignored.
-    doc["em"] = {"inner": {"tolerance": 1e-6, "step_size": 0.5}}
-    doc["fit"] = {"seed": 5, "step_size": 0.5, "max_iters": 50}
-    config = bench.experiment_config_from_dict(doc)
-    assert config.em.inner == dataclasses.replace(EmConfig().inner, tolerance=1e-6)
-    assert config.em.inner.max_iters == 200 and config.em.inner.l2_penalty == 0.0
-    assert config.fit == FitConfig(max_iters=50)
+    # Keys naming no setting, such as a seed or the former step_size, are
+    # rejected rather than left at a default.
+    for em, key in [({"max_em_iters": 3, "seed": 5}, "seed"), ({"step_size": 0.5}, "step_size")]:
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            bench.experiment_config_from_dict({**doc, "em": em})
 
 
 def _labeled_csv(tmp_path):
@@ -326,49 +359,72 @@ def _labeled_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, overrides",
+    "command, overrides, names",
     [
-        ("generate", {"kind": "resample", "base_rate": "abc", "shift_delta": 0.3}),
-        ("generate", {"n_source": "many"}),
-        ("benchmark", {"generator": ["bernoulli_z"]}),
-        ("benchmark", {"em": {"inner": [1]}}),
-        ("benchmark", {"fit": "fast"}),
+        ("generate", {"kind": "resample", "base_rate": "abc", "shift_delta": 0.3}, "base_rate"),
+        ("generate", {"n_source": "many"}, None),
+        ("benchmark", {"generator": ["bernoulli_z"]}, None),
+        # The former solver blocks name no setting.
+        ("benchmark", {"em": {"inner": [1]}}, "'inner'"),
+        ("benchmark", {"fit": "fast"}, "'fit'"),
         # A path must be a string: `open` takes an integer as a file
         # descriptor. An unopened descriptor number keeps a failure of the
         # check away from the test's own standard streams.
         ("generate", {"kind": "resample", "base_rate": 0.3, "shift_delta": 0.3,
-                      "input_csv": 987654}),
-        ("generate", {"output_dir": 987654}),
-        ("generate", {"output_dir": ["out"]}),
-        ("benchmark", {"generator": {"kind": "resample", "input_csv": ["labeled.csv"]}}),
-        ("benchmark", {"output_path": 987654}),
-        ("benchmark", {"aggregate_path": ["agg.csv"]}),
-        # Numbers must be finite: a NaN slope fails no comparison and a NaN
-        # ridge switches the ridge off, and int() of an infinity overflows.
-        ("generate", {"shift_slope": math.nan}),
-        ("benchmark", {"fit": {"l2_penalty": math.nan}}),
-        ("benchmark", {"em": {"em_tolerance": math.inf}}),
-        ("generate", {"n_source": math.inf}),
-        ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [math.inf]}}),
+                      "input_csv": 987654}, "input_csv"),
+        ("generate", {"output_dir": 987654}, None),
+        ("generate", {"output_dir": ["out"]}, None),
+        ("benchmark", {"generator": {"kind": "resample", "input_csv": ["labeled.csv"]}}, None),
+        ("benchmark", {"output_path": 987654}, None),
+        ("benchmark", {"aggregate_path": ["agg.csv"]}, None),
+        # Numbers must be finite: a NaN slope fails no comparison, and int()
+        # of an infinity overflows.
+        ("generate", {"shift_slope": math.nan}, None),
+        ("benchmark", {"fit": {"l2_penalty": math.nan}}, "'fit'"),
+        ("benchmark", {"em": {"em_tolerance": math.inf}}, None),
+        ("generate", {"n_source": math.inf}, None),
+        ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [math.inf]}}, None),
+        # A key naming no setting would leave that setting at its default.
+        ("generate", {"shift_slop": 5.0}, "'shift_slop'"),
+        ("benchmark", {"em": {"max_em_iter": 2}}, "'max_em_iter'"),
+        ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [150], "m": [1]}}, "'m'"),
+        ("benchmark", {"generator": {"dataset_kind": "bernoulli_z", "d_y": 2}}, "'d_y'"),
+        ("benchmark", {"repetition": 3}, "'repetition'"),
+        ("benchmark", {"generator": {"kind": "synthetic", "input_csv": "labeled.csv"}},
+         "'input_csv'"),
+        # Integer settings take whole numbers only; a fraction is not truncated.
+        ("generate", {"n_source": 120.5}, "n_source must be an integer"),
+        ("benchmark", {"em": {"max_em_iters": 2.5}}, "max_em_iters must be an integer"),
+        ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [150.5]}}, "n must be an integer"),
     ],
     ids=["resample-rate-not-a-number", "size-not-a-number", "generator-not-an-object",
          "inner-not-an-object", "fit-not-an-object", "input-csv-not-a-path",
          "output-dir-fd", "output-dir-list", "benchmark-input-csv-not-a-path",
          "output-path-fd", "aggregate-path-list", "slope-nan", "ridge-nan",
-         "em-tolerance-infinite", "size-infinite", "grid-size-infinite"],
+         "em-tolerance-infinite", "size-infinite", "grid-size-infinite",
+         "unknown-generation-key", "unknown-em-key", "unknown-grid-key",
+         "unknown-generator-key", "unknown-top-level-key", "synthetic-input-csv",
+         "size-fraction", "em-rounds-fraction", "grid-size-fraction"],
 )
-def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides):
-    if overrides.get("kind") == "resample":
-        overrides.setdefault("input_csv", _labeled_csv(tmp_path))
+def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides, names):
     # Both commands would write under tmp_path/out: the generated files in
     # that directory, or the metrics CSV out.csv next to it.
-    make_config = _gen_config if command == "generate" else _bench_config
-    config = make_config(tmp_path, "out", **overrides)
+    if overrides.get("kind") == "resample":
+        # Resample keys only, so that the case fails for its own fault and
+        # not for a synthetic key that the resample kind does not have.
+        doc = {"n_source": 60, "n_target": 60, "input_csv": _labeled_csv(tmp_path),
+               "output_dir": str(tmp_path / "out"), **overrides}
+        config = _write_json(tmp_path / "out.json", doc)
+    else:
+        make_config = _gen_config if command == "generate" else _bench_config
+        config = make_config(tmp_path, "out", **overrides)
     capsys.readouterr()
     assert main([command, config]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err
     assert ("generation config" if command == "generate" else "benchmark config") in err
+    if names is not None:
+        assert names in err
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "out.csv").exists()
 

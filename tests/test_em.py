@@ -20,7 +20,7 @@ from cpsm import (
     params_from_prior,
     params_to_dict,
 )
-from cpsm.em import load_fit_json, save_fit_json
+from cpsm.em import M_STEP, load_fit_json, save_fit_json
 from cpsm.softmax import FitConfig, clamp_probs, fit_hard, fit_soft, predict_proba
 from cpsm.synth import GaussianGenConfig, generate_gaussian_family
 
@@ -165,7 +165,7 @@ def test_first_prior_only_round_is_mean_of_source_posteriors(small_pair):
         posterior_model,
         source_prior,
         unlabeled,
-        EmConfig(max_em_iters=1, inner=FitConfig(max_iters=500, tolerance=1e-10, l2_penalty=0.0)),
+        EmConfig(max_em_iters=1),
     )
     naive_mean = predict_proba(posterior_model, unlabeled.features("zx")).mean(axis=0)
     fitted_prior = predict_proba(result.theta_hat, np.zeros((1, 0)))[0]
@@ -199,10 +199,7 @@ def test_identical_source_and_target_rows_are_a_fixed_point(small_pair):
     source, _ = small_pair
     tight = FitConfig(max_iters=5000, tolerance=1e-12, l2_penalty=0.0)
     models = SourceModels(fit_hard(source, tight, "zx"), fit_hard(source, tight, "z"))
-    config = EmConfig(
-        max_em_iters=1, inner=FitConfig(max_iters=1000, tolerance=1e-12, l2_penalty=0.0)
-    )
-    result = fit_cpsm(models, source.unlabeled(), config)
+    result = fit_cpsm(models, source.unlabeled(), EmConfig(max_em_iters=1))
     drift = max(
         float(np.max(np.abs(result.theta_hat.intercepts - models.conditional_model.intercepts))),
         float(np.max(np.abs(result.theta_hat.slopes - models.conditional_model.slopes))),
@@ -325,7 +322,7 @@ def _row_wise_em(models, target, config):
     trace = []
     for it in range(config.max_em_iters + 1):
         if it > 0:
-            theta = fit_soft(target.z, result.posterior, config.inner, init=theta)
+            theta = fit_soft(target.z, result.posterior, M_STEP, init=theta)
         result = _e_step(models, target, theta)
         trace.append(float(np.log(result.row_normalizer).sum()))
         if it > 0 and trace[-1] - trace[-2] < config.em_tolerance:
@@ -406,10 +403,7 @@ def test_mlls_follows_the_classic_prior_only_em(small_pair):
     posterior_model = fit_hard(source, FitConfig(), "zx")
     source_prior = source.class_prior()
     unlabeled = target.unlabeled()
-    config = EmConfig(
-        max_em_iters=20, inner=FitConfig(max_iters=500, tolerance=1e-12, l2_penalty=0.0)
-    )
-    result = fit_mlls(posterior_model, source_prior, unlabeled, config)
+    result = fit_mlls(posterior_model, source_prior, unlabeled, EmConfig(max_em_iters=20))
 
     p = predict_proba(posterior_model, unlabeled.features("zx"))
     prior = source_prior
@@ -419,6 +413,12 @@ def test_mlls_follows_the_classic_prior_only_em(small_pair):
         prior = reweighted.mean(axis=0)
     assert result.iterations_run >= 5
     assert np.max(np.abs(result.estimated_prior - prior)) <= 1e-6
+
+
+@pytest.mark.parametrize("value", [math.nan, 2.5, -1])
+def test_em_round_budget_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ValidationError, match="max_em_iters must be"):
+        EmConfig(max_em_iters=value)
 
 
 def test_mismatched_models_rejected(small_models):

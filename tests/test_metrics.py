@@ -157,5 +157,5 @@ def test_without_shift_corrected_and_uncorrected_errors_are_close():
     )
     source = generate_gaussian_family(family, 5000, seed=2)
     target = generate_gaussian_family(family, 5000, seed=1002)
-    results = run_single(source, target, ["naive", "cpsm"], EmConfig(), FitConfig(), False)
+    results = run_single(source, target, ["naive", "cpsm"], EmConfig(), False)
     assert abs(results["naive"][1] - results["cpsm"][1]) < 0.02

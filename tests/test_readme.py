@@ -1,8 +1,12 @@
-"""The README's library quick start runs as written against the public API."""
+"""The README's library quick start runs as written against the public API,
+and its JSON examples are configs that the CLI accepts."""
+import json
 import pathlib
 import re
 
 import numpy as np
+
+from cpsm import EmConfig, bench
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -17,3 +21,17 @@ def test_library_quick_start_runs():
     assert np.allclose(result.target_posterior.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(np.diff(result.loglik_trace) >= -1e-9)
     assert np.array_equal(result.estimated_prior, result.target_posterior.mean(axis=0))
+
+
+def test_json_examples_are_configs_the_parsers_accept():
+    # Parsing only: a removed or misspelt key in an example is rejected here.
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    assert len(blocks) >= 2
+    for block in blocks:
+        doc = json.loads(block)
+        if "generator" in doc:
+            config = bench.experiment_config_from_dict(doc)
+            assert config.em == EmConfig(**doc.get("em", {}))
+        else:
+            generator, output_dir = bench.parse_generation(doc)
+            assert generator.kind == doc["kind"] and output_dir == doc["output_dir"]

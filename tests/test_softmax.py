@@ -273,6 +273,10 @@ def test_fit_config_validation():
             FitConfig(tolerance=value)
         with pytest.raises(ValidationError, match="l2_penalty must be nonnegative and finite"):
             FitConfig(l2_penalty=value)
+    # `nan < 1` is false, so a NaN passed a plain range test.
+    for value in (math.nan, 2.5):
+        with pytest.raises(ValidationError, match="max_iters must be an integer"):
+            FitConfig(max_iters=value)
 
 
 def test_params_are_immutable():

@@ -153,6 +153,30 @@ def test_mean_layout_requires_room_for_indicator():
         SynthConfig(dataset_kind="bernoulli_z", n_source=10, n_target=10, d_z=5, d_x=5)
 
 
+@pytest.mark.parametrize(
+    "make, field, value",
+    [
+        (SynthConfig, "n_source", math.nan),
+        (SynthConfig, "n_target", 2.5),
+        (SynthConfig, "d_z", math.nan),
+        (SynthConfig, "seed", 1.5),
+        (ShiftProtocolConfig, "conditioning_column", math.nan),
+        (ShiftProtocolConfig, "n_target", 2.5),
+        (ShiftProtocolConfig, "seed", -1),
+    ],
+)
+def test_integer_fields_reject_nan_fractions_and_negatives(make, field, value):
+    # `nan < 1` is false, so a NaN size passed a plain range test and
+    # generation failed later with a TypeError.
+    if make is SynthConfig:
+        settings = dict(dataset_kind="bernoulli_z", n_source=10, n_target=10)
+    else:
+        settings = dict(base_rate=0.3, shift_delta=0.2, n_source=10, n_target=10)
+    make(**settings)
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        make(**{**settings, field: value})
+
+
 @pytest.mark.parametrize("slope", [math.nan, math.inf])
 def test_shift_slope_must_be_finite_and_nonnegative(slope):
     # A NaN slope fails `slope < 0` and would generate a target whose
