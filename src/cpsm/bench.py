@@ -74,10 +74,15 @@ def _config_errors(what: str):
         raise ValidationError(f"{what} malformed: {exc}") from None
 
 
-def _as_object(doc):
-    if not isinstance(doc, dict):
-        raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-    return doc
+_JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
+
+
+def _as_json(value, kind: type, name: str):
+    """`value` if it has the JSON type `kind`. Nothing else is coerced to
+    it: bool("false") is True, and list("cpsm") is four one-letter methods."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
+    return value
 
 
 def _path(doc: dict, key: str, default=MISSING):
@@ -128,7 +133,7 @@ def config_fields(cls, doc: dict, supplied=(), extra=()) -> dict:
     neither a field nor one of `extra` raises ValueError, and a document
     that is not an object raises TypeError.
     """
-    _as_object(doc)
+    _as_json(doc, dict, "a config section")
     types = typing.get_type_hints(cls)
     _check_keys(doc, {f.name for f in fields(cls)}.union(extra))
     out = {}
@@ -175,7 +180,7 @@ def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
     `extra`. With `grid`, each benchmark run supplies the per-run fields,
     and the block's own values for them are ignored."""
     with _config_errors("benchmark config" if grid else "generation config"):
-        kind = _as_object(doc).get("kind", "synthetic")
+        kind = _as_json(doc, dict, "the generator").get("kind", "synthetic")
         if kind not in _KINDS:
             raise ValidationError(f"unknown generator kind {kind!r}")
         cls, run_fields = _KINDS[kind]
@@ -232,20 +237,22 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate the benchmark JSON document, including the
     generator config of every run."""
     with _config_errors("benchmark config"):
-        _check_keys(_as_object(doc), _BENCHMARK_KEYS)
-        grid = _as_object(doc["grid"])
+        _check_keys(_as_json(doc, dict, "the config"), _BENCHMARK_KEYS)
+        grid = _as_json(doc["grid"], dict, "grid")
         _check_keys(grid, ("a", "k", "n"))
         return ExperimentConfig(
             generator=parse_generator(doc["generator"], grid=True),
-            methods=list(doc["methods"]),
-            grid_a=[float(v) for v in grid["a"]],
-            grid_k=[float(v) for v in grid["k"]],
-            grid_n=[_number("n", v, int) for v in grid["n"]],
+            methods=list(_as_json(doc["methods"], list, "methods")),
+            grid_a=[float(v) for v in _as_json(grid["a"], list, "grid.a")],
+            grid_k=[float(v) for v in _as_json(grid["k"], list, "grid.k")],
+            grid_n=[_number("n", v, int) for v in _as_json(grid["n"], list, "grid.n")],
             repetitions=_number("repetitions", doc["repetitions"], int),
             base_seed=_number("base_seed", doc["base_seed"], int),
             output_path=_path(doc, "output_path"),
             aggregate_path=_path(doc, "aggregate_path", None),
-            measure_wall_clock=bool(doc.get("measure_wall_clock", False)),
+            measure_wall_clock=_as_json(
+                doc.get("measure_wall_clock", False), bool, "measure_wall_clock"
+            ),
             em=EmConfig(**config_fields(EmConfig, doc.get("em", {}))),
         )
 

@@ -182,53 +182,117 @@ def _parse_header(header: list[str], path) -> tuple[int, int]:
     return d_z, d_x
 
 
+# Data lines handed to numpy's parser at a time. A feature cell it rejects
+# is found by parsing that block's lines again one by one, and the text held
+# at once stays a few MB however long the file is.
+_BLOCK_LINES = 8192
+# The largest label the int label vector holds.
+_MAX_LABEL = int(np.iinfo(int).max)
+
+
+def _parse_features(lines: list[str], width: int) -> np.ndarray:
+    """The feature cells (all but the first) of `lines`, each a data line
+    of `width` fields, as a (len(lines), width - 1) float matrix."""
+    return np.loadtxt(
+        lines, delimiter=",", comments=None, quotechar='"', usecols=range(1, width), ndmin=2
+    )
+
+
+def _parse_block(lines: list[str], first_line: int, width: int, path) -> np.ndarray:
+    try:
+        return _parse_features(lines, width)
+    except ValueError:
+        for lineno, line in enumerate(lines, start=first_line):
+            try:
+                _parse_features([line], width)
+            except ValueError:
+                raise ValidationError(f"{path}: line {lineno}: non-numeric feature value") from None
+        raise
+
+
+def _line_fault(line: str, width: int, labels: list[int]) -> str | None:
+    """What is wrong with a data line before its feature cells are parsed,
+    or None after appending its label (0 for an empty y cell) to `labels`."""
+    if '"' in line:
+        fields = next(csv.reader([line]), [])
+        # A quote left open would make numpy's parser read on into the next
+        # line, so that its rows no longer match the file's lines.
+        if fields and fields[-1].endswith(("\n", "\r")):
+            return "quoted cell runs past the end of the line"
+        n_fields = len(fields)
+        y_cell = fields[0] if fields else ""
+    else:
+        body = line.rstrip("\r\n")
+        n_fields = body.count(",") + 1 if body else 0
+        y_cell = body.partition(",")[0]
+    if n_fields != width:
+        return f"expected {width} fields, got {n_fields}"
+    if y_cell == "":
+        labels.append(0)
+        return None
+    try:
+        label = int(y_cell)
+    except ValueError:
+        label = 0
+    if not 1 <= label <= _MAX_LABEL:
+        return f"field 'y': bad label {y_cell!r}"
+    labels.append(label)
+    return None
+
+
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read a dataset CSV; returns (z, x, y) with y None when all y cells are
     empty. A malformed file raises ValidationError naming the file and line;
-    data row i is line i + 2."""
+    data row i is line i + 2.
+
+    The file is read in one pass. Python checks each line's field count and
+    y cell, and numpy's C parser reads the feature cells in blocks of lines,
+    so the text is never held whole. The dialect is comma-separated UTF-8
+    with LF or CRLF line ends and optional double quotes around a cell; a
+    blank line is a row of 0 fields and there are no comment lines. Feature
+    cells are numbers as C `strtod` spells them, with optional surrounding
+    whitespace: Python-only spellings such as `1_0` or non-ASCII digits are
+    non-numeric. A `y` cell is empty or an integer >= 1.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        first = fh.readline()
+        if not first:
             raise ValidationError(f"{path}: line 1: empty file, expected a header")
-        d_z, d_x = _parse_header(header, path)
+        d_z, d_x = _parse_header(next(csv.reader([first]), []), path)
+        width = 1 + d_z + d_x
         labels: list[int] = []
-        z_rows: list[list[float]] = []
-        x_rows: list[list[float]] = []
-        n_labeled = 0
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1 + d_z + d_x:
-                raise ValidationError(
-                    f"{path}: line {lineno}: expected {1 + d_z + d_x} fields, got {len(row)}"
-                )
-            if row[0] == "":
-                labels.append(0)
-            else:
-                try:
-                    label = int(row[0])
-                except ValueError:
-                    label = 0
-                if label < 1:
-                    raise ValidationError(f"{path}: line {lineno}: field 'y': bad label {row[0]!r}")
-                labels.append(label)
-                n_labeled += 1
-            try:
-                z_rows.append([float(v) for v in row[1 : 1 + d_z]])
-                x_rows.append([float(v) for v in row[1 + d_z :]])
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: non-numeric feature value") from None
+        blocks: list[np.ndarray] = []
+        block: list[str] = []
+
+        def parse_block() -> None:
+            # `block` holds the last of the len(labels) checked data lines;
+            # numpy warns on no lines, so an empty block is not passed on.
+            if block:
+                blocks.append(_parse_block(block, len(labels) + 2 - len(block), width, path))
+                block.clear()
+
+        for lineno, line in enumerate(fh, start=2):
+            fault = _line_fault(line, width, labels)
+            if fault is not None:
+                parse_block()  # a bad feature cell on an earlier line comes first
+                raise ValidationError(f"{path}: line {lineno}: {fault}")
+            block.append(line)
+            if len(block) == _BLOCK_LINES:
+                parse_block()
+        parse_block()
     n = len(labels)
     if n == 0:
         raise ValidationError(f"{path}: line 2: no data rows")
-    z = np.asarray(z_rows, dtype=float).reshape(n, d_z)
-    x = np.asarray(x_rows, dtype=float).reshape(n, d_x)
+    z = np.concatenate([b[:, :d_z] for b in blocks])
+    x = np.concatenate([b[:, d_z:] for b in blocks])
     finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
     if not finite.all():
         line = int(np.argmin(finite)) + 2
         raise ValidationError(f"{path}: line {line}: non-finite feature value")
+    y = np.asarray(labels, dtype=int)
+    n_labeled = int(np.count_nonzero(y))
     if n_labeled == 0:
         return z, x, None
-    y = np.asarray(labels, dtype=int)
     if n_labeled != n:
         line = int(np.argmax((y > 0) != (y[0] > 0))) + 2
         raise ValidationError(

@@ -4,6 +4,7 @@ Everything here recomputes expected values through a different route than
 the library: explicit enumeration, central finite differences, or direct
 density arithmetic. Keep these free of calls into the code paths they check.
 """
+import csv
 import itertools
 import math
 
@@ -99,3 +100,64 @@ def gaussian_bayes_posterior(point_z, point_x, mixing, offsets, prior_probs) -> 
     logs -= logs.max()
     w = np.exp(logs)
     return w / w.sum()
+
+
+def row_wise_read_dataset_csv(path):
+    """A dataset CSV read row by row with the csv module and Python's
+    `float()`: the reader the library had before it parsed feature cells
+    with numpy, kept as the reference. Returns (z, x, y) like
+    `cpsm.data.read_dataset_csv`, with y None when every y cell is empty;
+    a malformed file raises ValueError with the library's message, without
+    the leading file name."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("line 1: empty file, expected a header")
+        d_z = d_x = 0
+        while 1 + d_z < len(header) and header[1 + d_z] == f"z{d_z + 1}":
+            d_z += 1
+        while 1 + d_z + d_x < len(header) and header[1 + d_z + d_x] == f"x{d_x + 1}":
+            d_x += 1
+        if header[:1] != ["y"] or len(header) != 1 + d_z + d_x:
+            raise ValueError(f"line 1: not a y,z1..,x1.. header: {header}")
+        labels = []
+        z_rows = []
+        x_rows = []
+        n_labeled = 0
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 1 + d_z + d_x:
+                raise ValueError(f"line {lineno}: expected {1 + d_z + d_x} fields, got {len(row)}")
+            if row[0] == "":
+                labels.append(0)
+            else:
+                try:
+                    label = int(row[0])
+                except ValueError:
+                    label = 0
+                if label < 1:
+                    raise ValueError(f"line {lineno}: field 'y': bad label {row[0]!r}")
+                labels.append(label)
+                n_labeled += 1
+            try:
+                z_rows.append([float(v) for v in row[1 : 1 + d_z]])
+                x_rows.append([float(v) for v in row[1 + d_z :]])
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-numeric feature value") from None
+    n = len(labels)
+    if n == 0:
+        raise ValueError("line 2: no data rows")
+    z = np.asarray(z_rows, dtype=float).reshape(n, d_z)
+    x = np.asarray(x_rows, dtype=float).reshape(n, d_x)
+    finite = np.isfinite(z).all(axis=1) & np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"line {int(np.argmin(finite)) + 2}: non-finite feature value")
+    if n_labeled == 0:
+        return z, x, None
+    y = np.asarray(labels, dtype=int)
+    if n_labeled != n:
+        line = int(np.argmax((y > 0) != (y[0] > 0))) + 2
+        raise ValueError(
+            f"line {line}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)"
+        )
+    return z, x, y

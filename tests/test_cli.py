@@ -396,6 +396,14 @@ def _labeled_csv(tmp_path):
         ("generate", {"n_source": 120.5}, "n_source must be an integer"),
         ("benchmark", {"em": {"max_em_iters": 2.5}}, "max_em_iters must be an integer"),
         ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [150.5]}}, "n must be an integer"),
+        # No value is coerced to a boolean or a list: "false" is a true
+        # string, and the string "cpsm" would be the methods c, p, s and m.
+        ("benchmark", {"measure_wall_clock": "false"}, "measure_wall_clock must be a JSON boolean"),
+        ("benchmark", {"measure_wall_clock": 0}, "measure_wall_clock must be a JSON boolean"),
+        ("benchmark", {"methods": "cpsm"}, "methods must be a JSON list"),
+        ("benchmark", {"grid": {"a": 0.3, "k": [1.0], "n": [150]}}, "grid.a must be a JSON list"),
+        ("benchmark", {"grid": {"a": [0.3], "k": "5", "n": [150]}}, "grid.k must be a JSON list"),
+        ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": 150}}, "grid.n must be a JSON list"),
     ],
     ids=["resample-rate-not-a-number", "size-not-a-number", "generator-not-an-object",
          "inner-not-an-object", "fit-not-an-object", "input-csv-not-a-path",
@@ -404,7 +412,9 @@ def _labeled_csv(tmp_path):
          "em-tolerance-infinite", "size-infinite", "grid-size-infinite",
          "unknown-generation-key", "unknown-em-key", "unknown-grid-key",
          "unknown-generator-key", "unknown-top-level-key", "synthetic-input-csv",
-         "size-fraction", "em-rounds-fraction", "grid-size-fraction"],
+         "size-fraction", "em-rounds-fraction", "grid-size-fraction", "wall-clock-string",
+         "wall-clock-number", "methods-string", "grid-a-number", "grid-k-string",
+         "grid-n-number"],
 )
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides, names):
     # Both commands would write under tmp_path/out: the generated files in
