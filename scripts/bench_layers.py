@@ -1,22 +1,34 @@
-"""Per-layer benchmark of the dataset CSV reader and writer.
+"""Per-layer benchmark of the dataset CSV reader and writer and of the
+synthetic pair generator.
 
     python scripts/bench_layers.py [--src DIR] [--baseline DIR] [--n N ...] [--rounds R] [--out FILE]
 
-Imports `cpsm` from `--src` (default: the src/ of this checkout) and times
-`cpsm.data.read_dataset_csv` and `cpsm.data.write_dataset_csv` on the
-labeled source file of a generated pair with n rows, for both synthetic
-families and each n (default 2k, 20k and 100k). Every timed call runs in a
-fresh Python process, one at a time, with one BLAS thread; it reports its
-own seconds and peak RSS (`VmHWM` on Linux, else `ru_maxrss`), so the
-memory is that of the one call plus the interpreter, numpy and, for a
-write, the arrays it writes.
+Imports `cpsm` from `--src` (default: the src/ of this checkout). For both
+synthetic families and each n (default 2k, 20k and 100k) it times three
+ops:
+
+- `read`: `cpsm.data.read_dataset_csv` on the labeled source file of a
+  generated pair with n rows;
+- `write`: `cpsm.data.write_dataset_csv` of the same rows;
+- `generate`: `cpsm.synth.generate_pair` of a pair with n rows on each
+  side (slope 5, prior 0.05, seed 1), its intercept calibration included.
+
+Every timed call runs in a fresh Python process, one at a time, with one
+BLAS thread; it reports its own seconds and peak RSS (`VmHWM` on Linux,
+else `ru_maxrss`), so the memory is that of the one call plus the
+interpreter, numpy and, for a write, the arrays it writes. A generate call
+also reports a count that does not depend on the machine: how many times
+the intercept calibration evaluated its expectation, and over how many
+points in all.
 
 With `--baseline DIR`, the `cpsm` under DIR (for example the src/ of a
 checkout of the parent commit) runs on the same files, alternating with
 `--src` in every round and going first in every other round, so that drift
 of the machine falls on both. Each side's arrays from a read must be
 bitwise equal, and each written file must equal the input file byte for
-byte; a mismatch fails the run.
+byte; a mismatch fails the run. The generated pairs are compared, not
+required equal: a case records whether each side's source and target
+arrays equal those of the first side.
 
 The JSON result, with the machine it ran on, goes to standard output and,
 with `--out`, to a file.
@@ -40,15 +52,17 @@ DEFAULT_N = (2_000, 20_000, 100_000)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MB = 2.0**20
 
-# One timed call, run as `python -c _CALL op src csv_path npz_path`. A read
-# prints a digest of the arrays it returns; a write writes to csv_path the
-# arrays stored in npz_path.
+# One timed call, run as `python -c _CALL op src arg1 arg2`: for a read or
+# a write, arg1 and arg2 are the CSV and NPZ paths, for a generate the
+# family and n. A read prints a digest of the arrays it returns; a write
+# writes to the CSV path the arrays stored in the NPZ file; a generate
+# prints a digest of each side of the pair.
 _CALL = r"""
 import hashlib, json, resource, sys, time
-op, src, csv_path, npz_path = sys.argv[1:]
+op, src, arg1, arg2 = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
-from cpsm import data
+from cpsm import data, synth
 
 def peak_kb():
     # VmHWM is this process's own high-water mark. ru_maxrss would do
@@ -60,22 +74,56 @@ def peak_kb():
     except (OSError, StopIteration):
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+class CountingNumpy:
+    # Each evaluation of the intercept calibration's expectation ends in one
+    # np.reciprocal over all of its points, and nothing else in
+    # synth.generate_pair calls it. The count costs a Python call per
+    # evaluation, a few dozen per pair.
+    evaluations = points = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def reciprocal(self, a, *args, **kwargs):
+        CountingNumpy.evaluations += 1
+        CountingNumpy.points += np.size(a)
+        return np.reciprocal(a, *args, **kwargs)
+
 if op == "write":
-    with np.load(npz_path) as arrays:
+    with np.load(arg2) as arrays:
         z, x, y = arrays["z"], arrays["x"], arrays["y"]
+if op == "generate":
+    config = synth.SynthConfig(
+        dataset_kind=arg1, n_source=int(arg2), n_target=int(arg2), shift_slope=5.0,
+        target_prior=0.05, seed=1,
+    )
+    synth.np = CountingNumpy()
 before_kb = peak_kb()
 start = time.perf_counter()
 if op == "read":
-    z, x, y = data.read_dataset_csv(csv_path)
+    z, x, y = data.read_dataset_csv(arg1)
+elif op == "write":
+    data.write_dataset_csv(arg1, z, x, y)
 else:
-    data.write_dataset_csv(csv_path, z, x, y)
+    source, target = synth.generate_pair(config)
 seconds = time.perf_counter() - start
 peak_kb = peak_kb()
-digest = hashlib.sha256()
-for a in (z, x, y):
-    digest.update(np.ascontiguousarray(a).tobytes())
-print(json.dumps({"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb,
-                  "digest": digest.hexdigest(), "module": data.__file__}))
+result = {"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb,
+          "module": data.__file__}
+if op == "generate":
+    result["source_digest"] = digest(source.z, source.x, source.y)
+    result["target_digest"] = digest(target.z, target.x, target.y)
+    result["calibration_evaluations"] = CountingNumpy.evaluations
+    result["calibration_points"] = CountingNumpy.points
+else:
+    result["digest"] = digest(z, x, y)
+print(json.dumps(result))
 """
 
 
@@ -105,10 +153,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _call(op: str, src: Path, csv_path: Path, npz_path: Path) -> dict:
+def _call(op: str, src: Path, arg1, arg2) -> dict:
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     done = subprocess.run(
-        [sys.executable, "-c", _CALL, op, str(src), str(csv_path), str(npz_path)],
+        [sys.executable, "-c", _CALL, op, str(src), str(arg1), str(arg2)],
         env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -119,20 +167,48 @@ def _call(op: str, src: Path, csv_path: Path, npz_path: Path) -> dict:
     return result
 
 
-def _summary(calls: list[dict], size_mb: float) -> dict:
+def _summary(calls: list[dict], size_mb: float | None = None) -> dict:
     seconds = [c["seconds"] for c in calls]
     median = statistics.median(seconds)
-    return {
+    summary = {
         "median_s": round(median, 4),
         "min_s": round(min(seconds), 4),
         "seconds": [round(s, 4) for s in seconds],
-        "mb_per_s": round(size_mb / median, 2),
         "peak_rss_mb": round(max(c["peak_rss_kb"] for c in calls) / 1024, 1),
         "rss_before_call_mb": round(max(c["rss_before_kb"] for c in calls) / 1024, 1),
     }
+    if size_mb is not None:
+        summary["mb_per_s"] = round(size_mb / median, 2)
+    return summary
 
 
-def bench_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
+def generate_case(family: str, n: int, sides: dict, rounds: int) -> dict:
+    """`generate_pair` timings and calibration counts of each side."""
+    calls = {name: [] for name in sides}
+    names = list(sides)
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            calls[name].append(_call("generate", sides[name], family, n))
+    case = {"op": "generate", "family": family, "n": n}
+    first = calls[names[0]][0]
+    for name in names:
+        for key in ("source_digest", "target_digest"):
+            if len({c[key] for c in calls[name]}) != 1:
+                raise SystemExit(f"bench_layers.py: {name} generated different {family} n={n} pairs")
+        last = calls[name][-1]
+        case[name] = {
+            **_summary(calls[name]),
+            "calibration_evaluations": last["calibration_evaluations"],
+            "calibration_points": last["calibration_points"],
+            "source_equals_first_side": last["source_digest"] == first["source_digest"],
+            "target_equals_first_side": last["target_digest"] == first["target_digest"],
+        }
+    if "baseline" in sides:
+        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
+    return case
+
+
+def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     """Read and write timings of each side on one generated file."""
     import numpy as np
     from cpsm.data import write_dataset_csv
@@ -159,7 +235,8 @@ def bench_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dic
     digests = {c["digest"] for side in calls.values() for c in side["read"]}
     if len(digests) != 1:
         raise SystemExit(f"bench_layers.py: reads of {family} n={n} returned different arrays")
-    case = {"family": family, "n": n, "file_mb": round(size_mb, 2), "file_sha256": want}
+    case = {"op": "read/write", "family": family, "n": n, "file_mb": round(size_mb, 2),
+            "file_sha256": want}
     for name in names:
         case[name] = {op: _summary(calls[name][op], size_mb) for op in ("read", "write")}
     if "baseline" in sides:
@@ -187,12 +264,12 @@ def main(argv=None) -> int:
     sides = {"src": src} if args.baseline is None else {
         "baseline": args.baseline.resolve(), "src": src,
     }
+    cases = []
     with tempfile.TemporaryDirectory(prefix="bench_layers-") as tmp:
-        cases = [
-            bench_case(family, n, sides, Path(tmp), args.rounds)
-            for n in args.n
-            for family in FAMILIES
-        ]
+        for n in args.n:
+            for family in FAMILIES:
+                cases.append(csv_case(family, n, sides, Path(tmp), args.rounds))
+                cases.append(generate_case(family, n, sides, args.rounds))
     result = {
         "machine": machine(),
         "sides": {name: str(path) for name, path in sides.items()},

@@ -107,13 +107,13 @@ def _check_keys(doc: dict, allowed) -> None:
 
 def _number(name: str, value, kind: type):
     """A JSON number as a finite float or, for `kind` int, a whole one as an
-    int (a fraction is not truncated)."""
+    int (a fraction is not truncated). A string or a boolean is no number,
+    though float("5") and int(True) would read them as one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
     if kind is int and isinstance(value, int):
         return value
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{name} must be finite, got {number}")
     if kind is int:
@@ -243,8 +243,8 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(
             generator=parse_generator(doc["generator"], grid=True),
             methods=list(_as_json(doc["methods"], list, "methods")),
-            grid_a=[float(v) for v in _as_json(grid["a"], list, "grid.a")],
-            grid_k=[float(v) for v in _as_json(grid["k"], list, "grid.k")],
+            grid_a=[_number("a", v, float) for v in _as_json(grid["a"], list, "grid.a")],
+            grid_k=[_number("k", v, float) for v in _as_json(grid["k"], list, "grid.k")],
             grid_n=[_number("n", v, int) for v in _as_json(grid["n"], list, "grid.n")],
             repetitions=_number("repetitions", doc["repetitions"], int),
             base_seed=_number("base_seed", doc["base_seed"], int),

@@ -29,6 +29,8 @@ _ARMIJO_C1 = 1e-4
 _STEP_SIZE = 0.1
 _MAX_HALVINGS = 50
 _CURVATURE_EPS = 1e-10
+# How many of a source's missing labels the label-gap error names.
+_NAMED_LABELS = 5
 
 
 def clamp_probs(probs: np.ndarray) -> np.ndarray:
@@ -280,13 +282,18 @@ def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx")
     """Maximum likelihood fit on hard labels over the selected feature block.
     Every label in 1..K, K the largest label, must have rows: a class with
     none would get an intercept that runs off towards minus infinity."""
-    counts = np.bincount(data.y, minlength=data.n_classes + 1)[1:]
-    if np.count_nonzero(counts) < 2:
+    present = np.unique(data.y)
+    if present.size < 2:
         raise ValidationError("degenerate labels: need at least 2 distinct classes")
-    missing = np.flatnonzero(counts == 0) + 1
-    if missing.size:
+    n_missing = data.n_classes - present.size
+    if n_missing:
+        # At most present.size labels are present, so the first few missing
+        # ones lie in 1..present.size + _NAMED_LABELS (and in 1..K).
+        cand = np.arange(1, min(data.n_classes, present.size + _NAMED_LABELS) + 1)
+        named = cand[~np.isin(cand, present)][:_NAMED_LABELS]
+        more = f", ... ({n_missing} labels in all)" if n_missing > len(named) else ""
         raise ValidationError(
-            f"no rows have label {', '.join(map(str, missing))}: "
+            f"no rows have label {', '.join(map(str, named))}{more}: "
             f"labels must cover 1..{data.n_classes}"
         )
     feats = data.features(feature_block)

@@ -22,7 +22,11 @@ BERNOULLI_Z = "bernoulli_z"
 GAUSSIAN_Z = "gaussian_z"
 
 _BRACKET = 30.0
-_MC_DRAWS = 1_000_000
+# Trapezoid nodes for the N(0, 1) expectation of the Gaussian calibration:
+# [-10, 10] holds all but 1.5e-23 of the mass; the node count is capped so
+# that a huge slope cannot ask for gigabytes.
+_NODE_RANGE = 10.0
+_MAX_NODES = 2**18 + 1
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -72,28 +76,41 @@ def calibrate_intercept(
     target_prior: float,
     z_dist: str,
     d_z: int,
-    seed: int = 0,
-    mc_draws: int = _MC_DRAWS,
 ) -> float:
     """Intercept t0 with E_z[sigmoid(t0 + shift_slope * sum(z))] = target_prior.
 
     Bernoulli conditioning uses exact enumeration of the 2^d_z equiprobable
-    patterns (grouped by their ones-count); Gaussian conditioning uses seeded
-    Monte Carlo on the scalar sum(z) ~ Normal(0, d_z). Root found by bisection
-    on [-30, 30].
+    patterns (grouped by their ones-count). Gaussian conditioning has
+    shift_slope * sum(z) = s * Z with s = shift_slope * sqrt(d_z) and
+    Z ~ Normal(0, 1); the expectation over Z is the trapezoid rule on a
+    uniform grid over [-10, 10], with weights exp(-Z^2 / 2) normalised to
+    sum 1. The ramp sigmoid(t0 + s * Z) has poles pi / s from the real axis,
+    so the rule's error falls like exp(-2 pi^2 / (s h)) in the node spacing
+    h, and h = min(0.05, 1 / (2 s)) puts it below double precision. The tests
+    check the root's expectation against a fine Simpson rule, within 1e-9
+    of the prior, for slopes 0.5 to 1,000 at d_z = 5 (s up to 2,236). Past
+    s = 6,554 the node count stops at 2^18 + 1, the spacing exceeds
+    1 / (2 s), and the error grows with s; that range is not validated.
+    Root found by bisection on [-30, 30].
     """
     if not 0.0 < target_prior < 1.0:
         raise ValidationError("target_prior must lie in (0, 1)")
     if d_z < 0:
         raise ValidationError("d_z must be >= 0")
+    if not math.isfinite(shift_slope):
+        raise ValidationError(f"shift_slope must be finite, got {shift_slope}")
     if z_dist == BERNOULLI_Z:
         sums = shift_slope * np.arange(d_z + 1, dtype=float)
         weights = np.array([math.comb(d_z, s) for s in range(d_z + 1)], dtype=float)
         weights /= 2.0**d_z
     elif z_dist == GAUSSIAN_Z:
-        draws = np.random.default_rng(seed).standard_normal(mc_draws)
-        sums = shift_slope * math.sqrt(d_z) * draws
-        weights = np.full(mc_draws, 1.0 / mc_draws)
+        scale = shift_slope * math.sqrt(d_z)
+        # Spacing _NODE_RANGE / half: at most 0.05, and 1 / (2 |scale|).
+        half = math.ceil(2.0 * _NODE_RANGE * max(abs(scale), 10.0))
+        nodes = np.linspace(-_NODE_RANGE, _NODE_RANGE, min(2 * half + 1, _MAX_NODES))
+        sums = scale * nodes
+        weights = np.exp(-0.5 * nodes * nodes)
+        weights /= weights.sum()
     else:
         raise ValidationError(f"unknown z distribution {z_dist!r}")
 
@@ -149,10 +166,10 @@ def generate_pair(config: SynthConfig) -> tuple[LabeledDataset, LabeledDataset]:
     identity covariance in both domains.
     """
     theta0 = calibrate_intercept(
-        config.shift_slope, config.target_prior, config.dataset_kind, config.d_z, seed=config.seed
+        config.shift_slope, config.target_prior, config.dataset_kind, config.d_z
     )
-    # Child stream [seed, 1] keeps data draws decorrelated from the
-    # calibration draws, which use the plain seed.
+    # The data come from the child stream [seed, 1]; the calibration draws
+    # nothing. Another stream would change the data of every seed.
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
 
     z_s = _draw_z(rng, config.n_source, config)

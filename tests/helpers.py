@@ -85,6 +85,21 @@ def enumerate_bernoulli_expectation(theta0: float, slope: float, d_z: int) -> fl
     return total / 2.0**d_z
 
 
+def gaussian_ramp_expectation(theta0: float, scale: float, intervals: int = 400_000) -> float:
+    """E[sigmoid(theta0 + scale * Z)], Z ~ Normal(0, 1), by composite
+    Simpson in u = theta0 + scale * Z over theta0 +- 12 scale, with the
+    sigmoid taken as 1 / (1 + exp(-u)) one way or the other by sign."""
+    if scale == 0.0:
+        return 1.0 / (1.0 + math.exp(-theta0))
+    u = np.linspace(theta0 - 12.0 * scale, theta0 + 12.0 * scale, intervals + 1)
+    e = np.exp(-np.abs(u))
+    ramp = np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    density = np.exp(-0.5 * ((u - theta0) / scale) ** 2) / (scale * math.sqrt(2.0 * math.pi))
+    f = ramp * density
+    h = u[1] - u[0]
+    return float(h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum()))
+
+
 def gaussian_bayes_posterior(point_z, point_x, mixing, offsets, prior_probs) -> np.ndarray:
     """Class posterior at one (z, x) point by direct Gaussian density
     arithmetic: prior(class | z) times the identity-covariance normal density

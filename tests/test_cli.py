@@ -404,6 +404,14 @@ def _labeled_csv(tmp_path):
         ("benchmark", {"grid": {"a": 0.3, "k": [1.0], "n": [150]}}, "grid.a must be a JSON list"),
         ("benchmark", {"grid": {"a": [0.3], "k": "5", "n": [150]}}, "grid.k must be a JSON list"),
         ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": 150}}, "grid.n must be a JSON list"),
+        # A number must be a JSON number: float("5") reads a string as one,
+        # and a boolean is an int to Python.
+        ("generate", {"n_source": "120"}, "n_source must be a JSON number"),
+        ("generate", {"shift_slope": "5"}, "shift_slope must be a JSON number"),
+        ("benchmark", {"grid": {"a": ["0.3"], "k": [1.0], "n": [150]}}, "a must be a JSON number"),
+        ("benchmark", {"grid": {"a": [0.3], "k": [True], "n": [150]}}, "k must be a JSON number"),
+        ("generate", {"seed": True}, "seed must be a JSON number"),
+        ("benchmark", {"repetitions": True}, "repetitions must be a JSON number"),
     ],
     ids=["resample-rate-not-a-number", "size-not-a-number", "generator-not-an-object",
          "inner-not-an-object", "fit-not-an-object", "input-csv-not-a-path",
@@ -414,7 +422,8 @@ def _labeled_csv(tmp_path):
          "unknown-generator-key", "unknown-top-level-key", "synthetic-input-csv",
          "size-fraction", "em-rounds-fraction", "grid-size-fraction", "wall-clock-string",
          "wall-clock-number", "methods-string", "grid-a-number", "grid-k-string",
-         "grid-n-number"],
+         "grid-n-number", "size-string", "slope-string", "grid-a-item-string",
+         "grid-k-item-boolean", "seed-boolean", "repetitions-boolean"],
 )
 def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, overrides, names):
     # Both commands would write under tmp_path/out: the generated files in

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,43 @@ def test_label_gap_rejected_naming_the_label():
     )
     with pytest.raises(ValidationError, match=r"no rows have label 2\b.*1\.\.3"):
         fit_hard(data, FitConfig())
+
+
+@pytest.mark.parametrize(
+    "labels, named",
+    [
+        ([1, 4], "2, 3"),
+        ([1, 2, 7], "3, 4, 5, 6"),
+        ([2, 9], "1, 3, 4, 5, 6, ... (7 labels in all)"),
+    ],
+)
+def test_label_gap_message_names_only_missing_labels(labels, named):
+    # Only labels in 1..K are missing; none above the largest is named.
+    y = np.array(labels * 2)
+    data = LabeledDataset(z=np.zeros((y.size, 0)), x=np.zeros((y.size, 1)), y=y)
+    with pytest.raises(ValidationError) as caught:
+        fit_hard(data, FitConfig())
+    assert str(caught.value) == f"no rows have label {named}: labels must cover 1..{max(labels)}"
+
+
+def test_label_gap_check_is_sized_by_the_rows_not_the_largest_label():
+    # Labels {1, 2, 10^7}: counting every label up to the largest would
+    # allocate 10^7 counts and name 9,999,997 labels in the error.
+    data = LabeledDataset(z=np.zeros((3, 0)), x=np.zeros((3, 1)), y=np.array([1, 2, 10_000_000]))
+    # numpy keeps about 1 MB from the first np.unique call in a process,
+    # whatever its input; make that call before measuring.
+    with pytest.raises(ValidationError):
+        fit_hard(data, FitConfig())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"no rows have label 3, 4,") as caught:
+            fit_hard(data, FitConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = str(caught.value)
+    assert "9999997" in message and len(message) < 200
+    assert peak < 2**20
 
 
 def test_underflowed_curvature_pair_is_skipped():

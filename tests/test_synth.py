@@ -19,18 +19,25 @@ from cpsm import (
 )
 from cpsm.data import read_dataset_csv, read_labels_csv, write_dataset_csv, write_labels_csv
 
-from helpers import enumerate_bernoulli_expectation, gaussian_bayes_posterior
+from helpers import (
+    enumerate_bernoulli_expectation,
+    gaussian_bayes_posterior,
+    gaussian_ramp_expectation,
+)
 
-# Frozen output of the seeded Monte Carlo calibration (slope 5, prior 0.05,
-# 5 Gaussian conditioning dims, seed 0); guards against regressions in the
-# draw order or the bisection.
-GAUSSIAN_THETA0_K5_P05_SEED0 = -18.64571448701369
+# Frozen output of the quadrature calibration (slope 5, prior 0.05, 5 Gaussian
+# conditioning dims); guards against regressions in the rule or the
+# bisection. Derived independently with scipy, which the tests do not use:
+# brentq(lambda t: quad(lambda z: norm.pdf(z) * expit(t + 5 * sqrt(5) * z),
+# -12, 12, points=[-t / (5 * sqrt(5))], epsabs=1e-15, epsrel=1e-13)[0] - 0.05,
+# -30, 30, xtol=1e-14) gives -18.63026049373167.
+GAUSSIAN_THETA0_K5_P05 = -18.630260493732038
 
 
 @pytest.mark.parametrize("prior", [0.05, 0.3, 0.5, 0.8])
 @pytest.mark.parametrize("kind", ["bernoulli_z", "gaussian_z"])
 def test_zero_slope_calibration_is_plain_logit(kind, prior):
-    theta0 = calibrate_intercept(0.0, prior, kind, 5, seed=0, mc_draws=10_000)
+    theta0 = calibrate_intercept(0.0, prior, kind, 5)
     assert theta0 == pytest.approx(math.log(prior / (1.0 - prior)), abs=1e-6)
 
 
@@ -50,8 +57,60 @@ def test_bernoulli_calibration_hits_target_by_enumeration():
 
 
 def test_gaussian_calibration_regression_constant():
-    theta0 = calibrate_intercept(5.0, 0.05, "gaussian_z", 5, seed=0)
-    assert theta0 == pytest.approx(GAUSSIAN_THETA0_K5_P05_SEED0, abs=1e-9)
+    theta0 = calibrate_intercept(5.0, 0.05, "gaussian_z", 5)
+    assert theta0 == pytest.approx(GAUSSIAN_THETA0_K5_P05, abs=1e-9)
+
+
+@pytest.mark.parametrize("slope", [0.5, 2.0, 5.0, 20.0, 50.0, 1000.0])
+def test_gaussian_calibration_hits_target_by_fine_simpson(slope):
+    # The reference integrates over u = t0 + slope * sqrt(5) * z, not z, on a
+    # far finer mesh, its spacing in u at most 0.1; a prior it puts outside
+    # the bracket must be rejected. At slope 1,000 the quadrature's spacing
+    # is 1 / (2 slope sqrt(5)), not the 0.05 cap, and only priors near 0.5
+    # are reachable.
+    scale = slope * math.sqrt(5)
+    intervals = max(400_000, 2 * math.ceil(125.0 * scale))
+    for prior in (0.05, 0.3, 0.45, 0.497, 0.8):
+        reachable = (
+            gaussian_ramp_expectation(-30.0, scale, intervals)
+            < prior
+            < gaussian_ramp_expectation(30.0, scale, intervals)
+        )
+        if not reachable:
+            with pytest.raises(ValidationError, match="unreachable"):
+                calibrate_intercept(slope, prior, "gaussian_z", 5)
+            continue
+        theta0 = calibrate_intercept(slope, prior, "gaussian_z", 5)
+        assert abs(gaussian_ramp_expectation(theta0, scale, intervals) - prior) < 1e-9
+
+
+@pytest.mark.parametrize("slope", [0.5, 2.0, 5.0, 20.0, 50.0])
+def test_gaussian_calibration_is_odd_in_the_prior(slope):
+    # sigmoid(-t) = 1 - sigmoid(t) and Z is symmetric, so prior 1 - p needs
+    # intercept -t0, and prior 0.5 needs 0.
+    assert abs(calibrate_intercept(slope, 0.5, "gaussian_z", 5)) < 1e-11
+    for prior in (0.05, 0.3, 0.45):
+        try:
+            low = calibrate_intercept(slope, prior, "gaussian_z", 5)
+        except ValidationError:
+            continue
+        high = calibrate_intercept(slope, 1.0 - prior, "gaussian_z", 5)
+        assert abs(low + high) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["bernoulli_z", "gaussian_z"])
+def test_calibration_rejects_a_non_finite_slope(kind):
+    # A NaN slope made every expectation NaN, and the bisection returned 0.
+    for slope in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="shift_slope"):
+            calibrate_intercept(slope, 0.3, kind, 5)
+
+
+def test_gaussian_calibration_is_even_in_the_slope():
+    # The grid's spacing follows |slope|, so a falling ramp is as exact as
+    # a rising one.
+    rising = calibrate_intercept(50.0, 0.45, "gaussian_z", 5)
+    assert abs(calibrate_intercept(-50.0, 0.45, "gaussian_z", 5) - rising) < 1e-11
 
 
 def test_unreachable_prior_rejected():
