@@ -50,12 +50,9 @@ from .softmax import (
     predict_proba,
 )
 from .synth import (
-    GaussianGenConfig,
     ShiftProtocolConfig,
     SynthConfig,
     calibrate_intercept,
-    gaussian_family_posterior,
-    generate_gaussian_family,
     generate_pair,
     induce_conditional_shift,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "CpsmFit",
     "EmConfig",
     "FitConfig",
-    "GaussianGenConfig",
     "LabeledDataset",
     "MetricRow",
     "NumericalError",
@@ -87,8 +83,6 @@ __all__ = [
     "fit_oracle",
     "fit_soft",
     "fit_to_dict",
-    "gaussian_family_posterior",
-    "generate_gaussian_family",
     "generate_pair",
     "induce_conditional_shift",
     "load_fit_json",

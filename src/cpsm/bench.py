@@ -11,33 +11,23 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import math
 import sys
 import time
 import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, replace
 
 import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset, read_labeled_csv, write_csv
 from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
-from .errors import CpsmError, ValidationError
+from .errors import CpsmError, ValidationError, json_number
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
 from .softmax import FitConfig, SoftmaxParams, fit_hard
 from .synth import ShiftProtocolConfig, SynthConfig, induce_conditional_shift, generate_pair
 
 ADAPT_METHODS = ("naive", "mlls", "cpsm")
 METHODS = ADAPT_METHODS + ("oracle",)
-METRICS_HEADER = [
-    "method",
-    "a",
-    "k",
-    "n",
-    "seed",
-    "balanced_accuracy",
-    "approx_error",
-    "wall_clock_seconds",
-]
+METRICS_HEADER = [f.name for f in fields(MetricRow)]
 AGGREGATE_HEADER = [
     "method",
     "a",
@@ -105,28 +95,10 @@ def _check_keys(doc: dict, allowed) -> None:
         )
 
 
-def _number(name: str, value, kind: type):
-    """A JSON number as a finite float or, for `kind` int, a whole one as an
-    int (a fraction is not truncated). A string or a boolean is no number,
-    though float("5") and int(True) would read them as one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a JSON number, got {value!r}")
-    if kind is int and isinstance(value, int):
-        return value
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{name} must be finite, got {number}")
-    if kind is int:
-        if not number.is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        return int(number)
-    return number
-
-
 def config_fields(cls, doc: dict, supplied=(), extra=()) -> dict:
     """Keyword arguments for the config dataclass `cls` read from a JSON object.
 
-    A key naming an int or float field is read with `_number`; other values
+    A key naming an int or float field is read with `json_number`; other values
     are taken as they are. A field the document omits is left out, so the
     dataclass default applies; a required one raises KeyError. Fields named
     in `supplied`, which the caller fills in, are ignored. A key naming
@@ -143,7 +115,7 @@ def config_fields(cls, doc: dict, supplied=(), extra=()) -> dict:
         if f.name in doc:
             value = doc[f.name]
             if types[f.name] in (int, float):
-                value = _number(f.name, value, types[f.name])
+                value = json_number(f.name, value, types[f.name])
             out[f.name] = value
         elif f.default is MISSING:
             raise KeyError(f.name)
@@ -243,11 +215,11 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
         return ExperimentConfig(
             generator=parse_generator(doc["generator"], grid=True),
             methods=list(_as_json(doc["methods"], list, "methods")),
-            grid_a=[_number("a", v, float) for v in _as_json(grid["a"], list, "grid.a")],
-            grid_k=[_number("k", v, float) for v in _as_json(grid["k"], list, "grid.k")],
-            grid_n=[_number("n", v, int) for v in _as_json(grid["n"], list, "grid.n")],
-            repetitions=_number("repetitions", doc["repetitions"], int),
-            base_seed=_number("base_seed", doc["base_seed"], int),
+            grid_a=[json_number("a", v, float) for v in _as_json(grid["a"], list, "grid.a")],
+            grid_k=[json_number("k", v, float) for v in _as_json(grid["k"], list, "grid.k")],
+            grid_n=[json_number("n", v, int) for v in _as_json(grid["n"], list, "grid.n")],
+            repetitions=json_number("repetitions", doc["repetitions"], int),
+            base_seed=json_number("base_seed", doc["base_seed"], int),
             output_path=_path(doc, "output_path"),
             aggregate_path=_path(doc, "aggregate_path", None),
             measure_wall_clock=_as_json(
@@ -355,24 +327,14 @@ def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
+def _cell(value) -> str:
+    """A metrics or aggregate CSV cell: a float by `repr`, a string or an
+    int as it is."""
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
 def write_metrics_csv(path, rows: list[MetricRow]) -> None:
-    write_csv(
-        path,
-        METRICS_HEADER,
-        (
-            [
-                r.method,
-                repr(float(r.a)),
-                repr(float(r.k)),
-                str(r.n),
-                str(r.seed),
-                repr(float(r.balanced_accuracy)),
-                repr(float(r.approx_error)),
-                repr(float(r.wall_clock_seconds)),
-            ]
-            for r in rows
-        ),
-    )
+    write_csv(path, METRICS_HEADER, (map(_cell, astuple(r)) for r in rows))
 
 
 def aggregate_rows(rows: list[MetricRow]) -> list[tuple]:
@@ -399,21 +361,4 @@ def aggregate_rows(rows: list[MetricRow]) -> list[tuple]:
 
 
 def write_aggregate_csv(path, rows: list[MetricRow]) -> None:
-    write_csv(
-        path,
-        AGGREGATE_HEADER,
-        (
-            [
-                method,
-                repr(float(a)),
-                repr(float(k)),
-                str(n),
-                str(runs),
-                repr(ba_m),
-                repr(ba_s),
-                repr(err_m),
-                repr(err_s),
-            ]
-            for method, a, k, n, runs, ba_m, ba_s, err_m, err_s in aggregate_rows(rows)
-        ),
-    )
+    write_csv(path, AGGREGATE_HEADER, (map(_cell, row) for row in aggregate_rows(rows)))

@@ -5,7 +5,6 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -15,6 +14,7 @@ from . import bench
 from .data import (
     UnlabeledDataset,
     read_dataset_csv,
+    read_json_object,
     read_labeled_csv,
     write_dataset_csv,
     write_labels_csv,
@@ -29,19 +29,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
-def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{path}: top-level JSON value must be an object")
-    return doc
-
-
 def cmd_generate(args) -> int:
-    doc = _load_json(args.config)
+    doc = read_json_object(args.config)
     generator, out_dir = bench.parse_generation(doc)
     source, target = generator.pair()
     out_dir = args.output_dir or out_dir
@@ -84,7 +73,7 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    config = bench.experiment_config_from_dict(_load_json(args.config))
+    config = bench.experiment_config_from_dict(read_json_object(args.config))
     rows = bench.run_benchmark(config)
     n_failed = sum(1 for r in rows if not np.isfinite(r.balanced_accuracy))
     print(f"wrote {config.output_path}: {len(rows)} rows ({n_failed} failed)")

@@ -1,4 +1,5 @@
-"""Dataset containers and the CSV on-disk format.
+"""Dataset containers, the CSV on-disk format, and the reader of the JSON
+documents (configs and fit files).
 
 Features are split into a conditioning block ``z`` (the columns that drive
 the shift of the label distribution) and the remaining block ``x``. The
@@ -8,6 +9,7 @@ matching the CSV column order ``y,z1..,x1..``.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,15 +27,25 @@ def as_float_matrix(arr, name: str) -> np.ndarray:
     return out
 
 
+# The largest label the int label vector holds.
+_MAX_LABEL = int(np.iinfo(int).max)
+
+
 def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
     y = np.asarray(arr)
     if y.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D vector, got ndim={y.ndim}")
     if y.size == 0:
         raise ValidationError(f"{name} are empty")
-    yi = y.astype(int)
-    if not np.all(yi == y):
+    if y.dtype.kind == "f":
+        # NaN, inf and floats past the int range fail one of these tests.
+        y = y.astype(float, copy=False)
+        whole = np.all((y == np.floor(y)) & (np.abs(y) < _MAX_LABEL))
+    else:
+        whole = y.dtype.kind in "biu"  # not strings, None or other objects
+    if not whole:
         raise ValidationError(f"{name} must be integers")
+    yi = y.astype(int)
     if yi.min() < 1:
         raise ValidationError(f"{name} must be 1-based positive integers")
     return yi
@@ -145,23 +157,6 @@ def write_posterior_csv(path, posterior: np.ndarray) -> None:
     )
 
 
-def read_labels_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["y"]:
-            raise ValidationError(f"{path}: expected header 'y', got {header}")
-        values = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 1:
-                raise ValidationError(f"{path}: line {lineno}: expected one field")
-            try:
-                values.append(int(row[0]))
-            except ValueError:
-                raise ValidationError(f"{path}: line {lineno}: bad label {row[0]!r}") from None
-    return _as_label_vector(values, f"{path}: labels")
-
-
 def _parse_header(header: list[str], path) -> tuple[int, int]:
     if not header or header[0] != "y":
         raise ValidationError(f"{path}: line 1: first column must be 'y', got {header[:1]}")
@@ -186,8 +181,6 @@ def _parse_header(header: list[str], path) -> tuple[int, int]:
 # is found by parsing that block's lines again one by one, and the text held
 # at once stays a few MB however long the file is.
 _BLOCK_LINES = 8192
-# The largest label the int label vector holds.
-_MAX_LABEL = int(np.iinfo(int).max)
 
 
 def _parse_features(lines: list[str], width: int) -> np.ndarray:
@@ -299,6 +292,30 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
             f"{path}: line {line}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)"
         )
     return z, x, y
+
+
+def read_labels_csv(path) -> np.ndarray:
+    """Read a labels CSV: a dataset CSV whose header is the lone column `y`
+    and whose every y cell holds a label."""
+    z, x, y = read_dataset_csv(path)
+    if z.shape[1] + x.shape[1]:
+        raise ValidationError(f"{path}: line 1: expected the lone column 'y', got feature columns")
+    if y is None:
+        raise ValidationError(f"{path}: line 2: every label is empty")
+    return y
+
+
+def read_json_object(path) -> dict:
+    """The JSON object in the file at `path`; invalid JSON, or a value that
+    is not an object, raises ValidationError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: top-level JSON value must be an object")
+    return doc
 
 
 def read_labeled_csv(path, role: str) -> LabeledDataset:

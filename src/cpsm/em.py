@@ -31,8 +31,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .adjust import adjust_posterior
-from .data import UnlabeledDataset
-from .errors import NumericalError, ValidationError, check_integers
+from .data import UnlabeledDataset, read_json_object
+from .errors import ValidationError, check_integers, json_number
 from .softmax import (
     FitConfig,
     SoftmaxParams,
@@ -179,8 +179,6 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
             q_z = clamp_probs(predict_proba(theta, patterns.rows))[patterns.inverse]
         result = adjust_posterior(p_xz, q_z, p_z)
         value = float(np.log(result.row_normalizer).sum())
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite surrogate log-likelihood at iteration {it}")
         trace.append(value)
         if it > 0 and value - trace[-2] < config.em_tolerance:
             break
@@ -250,17 +248,22 @@ def params_to_dict(params: SoftmaxParams) -> dict:
 
 
 def params_from_dict(doc: dict) -> SoftmaxParams:
+    """The model of a `params_to_dict` document. A missing field, or one of
+    the wrong type, form or size, raises ValidationError; the integer fields
+    are read by the config files' JSON-number rule."""
     try:
+        n_classes = json_number("n_classes", doc["n_classes"], int)
+        n_features = json_number("n_features", doc["n_features"], int)
         return SoftmaxParams(
-            n_classes=int(doc["n_classes"]),
-            n_features=int(doc["n_features"]),
+            n_classes=n_classes,
+            n_features=n_features,
             intercepts=np.asarray(doc["intercepts"], dtype=float),
-            slopes=np.asarray(doc["slopes"], dtype=float).reshape(
-                int(doc["n_classes"]) - 1, int(doc["n_features"])
-            ),
+            slopes=np.asarray(doc["slopes"], dtype=float).reshape(n_classes - 1, n_features),
         )
     except KeyError as exc:
         raise ValidationError(f"missing field in model document: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed model document: {exc}") from None
 
 
 def fit_to_dict(fit: CpsmFit) -> dict:
@@ -280,8 +283,9 @@ def save_fit_json(path, fit: CpsmFit) -> None:
 
 
 def load_fit_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The document `save_fit_json` wrote; a file that is not a JSON object
+    of this format version raises ValidationError."""
+    doc = read_json_object(path)
     version = doc.get("format_version")
     if version != FIT_FORMAT_VERSION:
         raise ValidationError(f"unsupported fit document version: {version!r}")

@@ -16,7 +16,6 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ValidationError, check_integers
-from .softmax import SoftmaxParams, predict_proba
 
 BERNOULLI_Z = "bernoulli_z"
 GAUSSIAN_Z = "gaussian_z"
@@ -184,94 +183,6 @@ def generate_pair(config: SynthConfig) -> tuple[LabeledDataset, LabeledDataset]:
     source = LabeledDataset(z=z_s, x=x_s, y=np.where(ind_s, 1, 2))
     target = LabeledDataset(z=z_t, x=x_t, y=np.where(ind_t, 1, 2))
     return source, target
-
-
-@dataclass
-class GaussianGenConfig:
-    """Generative family where x given (class, z) is Gaussian with a shared
-    mixing of z and a per-class offset; its true posterior is itself softmax."""
-
-    mixing_matrix: np.ndarray              # (p, d)
-    class_offsets: np.ndarray              # (K, p)
-    conditional_params: SoftmaxParams      # class given z, d features
-
-    def __post_init__(self):
-        m = np.asarray(self.mixing_matrix, dtype=float)
-        a = np.asarray(self.class_offsets, dtype=float)
-        if m.ndim != 2:
-            raise ValidationError("mixing_matrix must be 2-D (p, d)")
-        if a.ndim != 2:
-            raise ValidationError("class_offsets must be 2-D (K, p)")
-        if m.shape[1] != self.conditional_params.n_features:
-            raise ValidationError(
-                f"mixing_matrix has {m.shape[1]} columns, conditional model expects "
-                f"{self.conditional_params.n_features}"
-            )
-        if a.shape[0] != self.conditional_params.n_classes:
-            raise ValidationError(
-                f"class_offsets has {a.shape[0]} rows, conditional model has "
-                f"{self.conditional_params.n_classes} classes"
-            )
-        if a.shape[1] != m.shape[0]:
-            raise ValidationError(
-                f"class_offsets dimension {a.shape[1]} does not match mixing output {m.shape[0]}"
-            )
-        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(a))):
-            raise ValidationError("generator parameters must be finite")
-        self.mixing_matrix = m
-        self.class_offsets = a
-
-    @property
-    def n_classes(self) -> int:
-        return self.class_offsets.shape[0]
-
-    @property
-    def d_z(self) -> int:
-        return self.mixing_matrix.shape[1]
-
-    @property
-    def d_x(self) -> int:
-        return self.mixing_matrix.shape[0]
-
-
-def generate_gaussian_family(config: GaussianGenConfig, n: int, seed: int = 0) -> LabeledDataset:
-    """Sample z standard normal, class from the conditional model, then
-    x = mixing @ z + offset[class] + standard normal noise."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, config.d_z))
-    probs = predict_proba(config.conditional_params, z)
-    u = rng.random(n)
-    idx = np.minimum(
-        (np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), config.n_classes - 1
-    )
-    x = z @ config.mixing_matrix.T + config.class_offsets[idx] + rng.standard_normal(
-        (n, config.d_x)
-    )
-    return LabeledDataset(z=z, x=x, y=idx + 1)
-
-
-def gaussian_family_posterior(config: GaussianGenConfig) -> SoftmaxParams:
-    """Closed-form posterior of the Gaussian family as a softmax over [z | x].
-
-    Class-k score: x.(a_k - a_K) + z.(M^T (a_K - a_k) + w_k)
-    + 0.5 (|a_K|^2 - |a_k|^2) + w_k0, with the last class as reference.
-    """
-    m = config.mixing_matrix
-    offsets = config.class_offsets
-    cond = config.conditional_params
-    a_ref = offsets[-1]
-    rows = offsets[:-1]
-    x_slopes = rows - a_ref
-    z_slopes = (a_ref - rows) @ m + cond.slopes
-    intercepts = 0.5 * (a_ref @ a_ref - np.sum(rows * rows, axis=1)) + cond.intercepts
-    return SoftmaxParams(
-        n_classes=config.n_classes,
-        n_features=config.d_z + config.d_x,
-        intercepts=intercepts,
-        slopes=np.hstack([z_slopes, x_slopes]),
-    )
 
 
 @dataclass

@@ -2,13 +2,17 @@
 
 Everything here recomputes expected values through a different route than
 the library: explicit enumeration, central finite differences, or direct
-density arithmetic. Keep these free of calls into the code paths they check.
+density arithmetic. Keep these free of calls into the code paths they check
+(the Gaussian family draws its classes through `predict_proba`).
 """
 import csv
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from cpsm import LabeledDataset, SoftmaxParams, predict_proba
 
 
 def finite_difference_gradient(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -115,6 +119,45 @@ def gaussian_bayes_posterior(point_z, point_x, mixing, offsets, prior_probs) -> 
     logs -= logs.max()
     w = np.exp(logs)
     return w / w.sum()
+
+
+@dataclass
+class GaussianGenConfig:
+    """A generative family whose true posterior is itself a softmax: z is
+    standard normal, the class given z follows `conditional_params`, and x
+    given (class, z) is normal around mixing_matrix @ z + class_offsets[class]
+    with identity covariance."""
+
+    mixing_matrix: np.ndarray          # (p, d) float
+    class_offsets: np.ndarray          # (K, p) float
+    conditional_params: SoftmaxParams  # class given z, d features
+
+
+def generate_gaussian_family(config: GaussianGenConfig, n: int, seed: int = 0) -> LabeledDataset:
+    """n rows of the family, sampled from `np.random.default_rng(seed)`."""
+    mixing, offsets, rng = config.mixing_matrix, config.class_offsets, np.random.default_rng(seed)
+    z = rng.standard_normal((n, mixing.shape[1]))
+    probs = predict_proba(config.conditional_params, z)
+    u = rng.random(n)
+    idx = np.minimum((np.cumsum(probs, axis=1) < u[:, None]).sum(axis=1), offsets.shape[0] - 1)
+    x = z @ mixing.T + offsets[idx] + rng.standard_normal((n, mixing.shape[0]))
+    return LabeledDataset(z=z, x=x, y=idx + 1)
+
+
+def gaussian_family_posterior(config: GaussianGenConfig) -> SoftmaxParams:
+    """The family's posterior in closed form, as a softmax over [z | x].
+
+    Class-k score: x.(a_k - a_K) + z.(M^T (a_K - a_k) + w_k)
+    + 0.5 (|a_K|^2 - |a_k|^2) + w_k0, with the last class as reference.
+    """
+    m, offsets, cond = config.mixing_matrix, config.class_offsets, config.conditional_params
+    a_ref, rows = offsets[-1], offsets[:-1]
+    return SoftmaxParams(
+        n_classes=offsets.shape[0],
+        n_features=m.shape[1] + m.shape[0],
+        intercepts=0.5 * (a_ref @ a_ref - np.sum(rows * rows, axis=1)) + cond.intercepts,
+        slopes=np.hstack([(a_ref - rows) @ m + cond.slopes, rows - a_ref]),
+    )
 
 
 def row_wise_read_dataset_csv(path):

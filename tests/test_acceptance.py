@@ -24,8 +24,6 @@ from cpsm import (
     calibrate_intercept,
     fit_cpsm,
     fit_mlls,
-    gaussian_family_posterior,
-    generate_gaussian_family,
     generate_pair,
     induce_conditional_shift,
     params_from_prior,
@@ -34,12 +32,14 @@ from cpsm import (
 from cpsm.bench import run_single
 from cpsm.cli import main as cli_main
 from cpsm.softmax import FitConfig, fit_hard, log_likelihood, log_likelihood_grad
-from cpsm.synth import GaussianGenConfig
 
 from helpers import (
+    GaussianGenConfig,
     bayes_posterior_from_joint,
     enumerate_bernoulli_expectation,
     finite_difference_gradient,
+    gaussian_family_posterior,
+    generate_gaussian_family,
     random_discrete_joint,
 )
 

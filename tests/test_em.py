@@ -22,9 +22,8 @@ from cpsm import (
 )
 from cpsm.em import M_STEP, load_fit_json, save_fit_json
 from cpsm.softmax import FitConfig, clamp_probs, fit_hard, fit_soft, predict_proba
-from cpsm.synth import GaussianGenConfig, generate_gaussian_family
 
-from helpers import bayes_posterior_from_joint
+from helpers import GaussianGenConfig, bayes_posterior_from_joint, generate_gaussian_family
 
 
 def _sigmoid(v):
@@ -466,6 +465,34 @@ def test_fit_json_round_trip(tmp_path, small_pair, small_models):
     theta = params_from_dict(doc["theta_hat"])
     assert np.array_equal(theta.intercepts, result.theta_hat.intercepts)
     assert np.array_equal(theta.slopes, result.theta_hat.slopes)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_classes", 2.9, "n_classes must be an integer"),
+        ("n_classes", "2", "n_classes must be a JSON number"),
+        ("slopes", [[1.0, 2.0, 3.0]], "cannot reshape"),
+    ],
+    ids=["fraction", "string", "slopes-size"],
+)
+def test_model_document_faults_are_validation_errors(field, value, message):
+    doc = params_to_dict(SoftmaxParams(2, 2, np.array([0.5]), np.array([[1.0, 2.0]])))
+    doc[field] = value
+    with pytest.raises(ValidationError, match=message):
+        params_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]\n", "must be an object"), ('{"format_version": 1', "invalid JSON")],
+    ids=["list", "truncated"],
+)
+def test_fit_file_faults_are_validation_errors(tmp_path, text, message):
+    path = tmp_path / "fit.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        load_fit_json(path)
 
 
 def test_bad_prior_rejected():

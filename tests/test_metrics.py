@@ -145,7 +145,7 @@ def test_without_shift_corrected_and_uncorrected_errors_are_close():
 
     from cpsm import EmConfig, SoftmaxParams
     from cpsm.bench import run_single
-    from cpsm.synth import GaussianGenConfig, generate_gaussian_family
+    from helpers import GaussianGenConfig, generate_gaussian_family
 
     cond = SoftmaxParams(2, 3, np.array([-0.5]), np.array([[0.6, -0.4, 0.2]]))
     family = GaussianGenConfig(

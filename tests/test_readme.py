@@ -1,11 +1,14 @@
 """The README's library quick start runs as written against the public API,
-and its JSON examples are configs that the CLI accepts."""
+its JSON examples are configs that the CLI accepts, and `cpsm.__all__` lists
+the public API."""
 import json
 import pathlib
 import re
+import types
 
 import numpy as np
 
+import cpsm
 from cpsm import EmConfig, bench
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -35,3 +38,15 @@ def test_json_examples_are_configs_the_parsers_accept():
         else:
             generator, output_dir = bench.parse_generation(doc)
             assert generator.kind == doc["kind"] and output_dir == doc["output_dir"]
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    # Submodules are bound by the import system, not by the package itself.
+    bound = {
+        name for name, value in vars(cpsm).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(cpsm.__all__) == sorted(bound)
+    namespace: dict = {}
+    exec("from cpsm import *", namespace)
+    assert set(namespace) - {"__builtins__"} == bound

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from cpsm import (
-    GaussianGenConfig,
     LabeledDataset,
     ShiftProtocolConfig,
     SoftmaxParams,
     SynthConfig,
     ValidationError,
     calibrate_intercept,
-    gaussian_family_posterior,
-    generate_gaussian_family,
     generate_pair,
     induce_conditional_shift,
     predict_proba,
@@ -20,9 +17,12 @@ from cpsm import (
 from cpsm.data import read_dataset_csv, read_labels_csv, write_dataset_csv, write_labels_csv
 
 from helpers import (
+    GaussianGenConfig,
     enumerate_bernoulli_expectation,
     gaussian_bayes_posterior,
+    gaussian_family_posterior,
     gaussian_ramp_expectation,
+    generate_gaussian_family,
 )
 
 # Frozen output of the quadrature calibration (slope 5, prior 0.05, 5 Gaussian
@@ -447,7 +447,11 @@ def test_labels_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize(
     "body, message",
-    [("y\n1\n0\n", "1-based"), ("y\n2\n-1\n", "1-based"), ("y\n", "empty")],
+    [
+        ("y\n1\n0\n", "line 3: field 'y': bad label '0'"),
+        ("y\n2\n-1\n", "line 3: field 'y': bad label '-1'"),
+        ("y\n", "line 2: no data rows"),
+    ],
     ids=["zero-label", "negative-label", "header-only"],
 )
 def test_labels_csv_rejects_what_every_label_path_rejects(tmp_path, body, message):
@@ -455,3 +459,29 @@ def test_labels_csv_rejects_what_every_label_path_rejects(tmp_path, body, messag
     path.write_text(body)
     with pytest.raises(ValidationError, match=message):
         read_labels_csv(path)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("y,x1\n1,0.5\n", "line 1: expected the lone column 'y'"),
+        ('y\n""\n""\n', "line 2: every label is empty"),
+        ("y\n1\n1" + "0" * 30 + "\n", "line 3: field 'y': bad label"),
+    ],
+    ids=["feature-column", "all-empty", "huge-label"],
+)
+def test_labels_csv_is_the_dataset_format_with_a_lone_y_column(tmp_path, body, message):
+    path = tmp_path / "labels.csv"
+    path.write_text(body)
+    with pytest.raises(ValidationError, match=f"labels.csv: {message}"):
+        read_labels_csv(path)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[1, math.nan], [1, math.inf], [1, 1e30], [1.5, 2], ["x", "1"], [1, None]],
+    ids=["nan", "inf", "huge", "fraction", "string", "none"],
+)
+def test_labels_that_are_not_whole_numbers_are_rejected(labels):
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=labels)
