@@ -14,7 +14,7 @@ import functools
 import sys
 import time
 import typing
-from dataclasses import MISSING, astuple, dataclass, field, fields, replace
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -46,10 +46,6 @@ _KINDS = {
     "synthetic": (SynthConfig, ("target_prior", "shift_slope", "n_source", "n_target", "seed")),
     "resample": (ShiftProtocolConfig, ("base_rate", "shift_delta", "n_source", "n_target", "seed")),
 }
-_BENCHMARK_KEYS = (
-    "generator", "methods", "grid", "repetitions", "base_seed", "output_path",
-    "aggregate_path", "measure_wall_clock", "em",
-)
 
 
 @contextlib.contextmanager
@@ -64,61 +60,60 @@ def _config_errors(what: str):
         raise ValidationError(f"{what} malformed: {exc}") from None
 
 
-_JSON_TYPES = {dict: "object", list: "list", bool: "boolean"}
+_JSON_TYPES = {dict: "object", list: "list", bool: "boolean", str: "string"}
 
 
 def _as_json(value, kind: type, name: str):
     """`value` if it has the JSON type `kind`. Nothing else is coerced to
-    it: bool("false") is True, and list("cpsm") is four one-letter methods."""
+    it: bool("false") is True, list("cpsm") is four one-letter methods, and
+    `open` takes an integer path as a file descriptor."""
     if not isinstance(value, kind):
         raise TypeError(f"{name} must be a JSON {_JSON_TYPES[kind]}, got {type(value).__name__}")
     return value
 
 
-def _path(doc: dict, key: str, default=MISSING):
-    """The path string under `key`, or `default` when the key is absent (or
-    null, for a null default); not any other value, which `open` would take
-    as a file descriptor or reject."""
-    value = doc[key] if default is MISSING else doc.get(key, default)
-    if value is not default and not isinstance(value, str):
-        raise TypeError(f"{key} must be a path string, got {type(value).__name__}")
-    return value
+def _read(name: str, value, hint):
+    """The JSON `value` of the setting `name` read as its field type `hint`:
+    a list item by item, `X | None` as null or an X, and a config dataclass
+    as an object of its fields. Raises TypeError or ValueError."""
+    args = typing.get_args(hint)
+    if hint in (int, float):
+        return json_number(name, value, hint)
+    if hint in (bool, str, dict):
+        return _as_json(value, hint, name)
+    if typing.get_origin(hint) is list:
+        return [_read(name, item, args[0]) for item in _as_json(value, list, name)]
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _read(name, value, inner)
+    if is_dataclass(hint):
+        return hint(**config_fields(hint, value, prefix=f"{name}."))
+    raise TypeError(f"{name} has a field type that no JSON value reads as: {hint}")
 
 
-def _check_keys(doc: dict, allowed) -> None:
-    """Reject a key of a JSON object that names no setting: a misspelt key
-    would otherwise leave its setting at the default without a word."""
+def config_fields(cls, doc, supplied=(), extra=(), prefix: str = "") -> dict:
+    """Keyword arguments for the config dataclass `cls` from a JSON object,
+    each field read by `_read` and named `prefix` plus its key. An omitted
+    field keeps its default; a required one raises KeyError. Fields in
+    `supplied` are the caller's and ignored. A key naming no field and not
+    in `extra` raises ValueError, lest a misspelt key leave its setting at
+    the default without a word."""
+    _as_json(doc, dict, prefix.rstrip(".") or "a config section")
+    allowed = {f.name for f in fields(cls)}.union(extra)
     unknown = [key for key in doc if key not in allowed]
     if unknown:
         raise ValueError(
             f"unknown key {', '.join(map(repr, unknown))}, expected one of {sorted(allowed)}"
         )
-
-
-def config_fields(cls, doc: dict, supplied=(), extra=()) -> dict:
-    """Keyword arguments for the config dataclass `cls` read from a JSON object.
-
-    A key naming an int or float field is read with `json_number`; other values
-    are taken as they are. A field the document omits is left out, so the
-    dataclass default applies; a required one raises KeyError. Fields named
-    in `supplied`, which the caller fills in, are ignored. A key naming
-    neither a field nor one of `extra` raises ValueError, and a document
-    that is not an object raises TypeError.
-    """
-    _as_json(doc, dict, "a config section")
     types = typing.get_type_hints(cls)
-    _check_keys(doc, {f.name for f in fields(cls)}.union(extra))
     out = {}
     for f in fields(cls):
         if f.name in supplied:
             continue
         if f.name in doc:
-            value = doc[f.name]
-            if types[f.name] in (int, float):
-                value = json_number(f.name, value, types[f.name])
-            out[f.name] = value
-        elif f.default is MISSING:
-            raise KeyError(f.name)
+            out[f.name] = _read(prefix + f.name, doc[f.name], types[f.name])
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(prefix + f.name)
     return out
 
 
@@ -158,23 +153,37 @@ def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
         cls, run_fields = _KINDS[kind]
         extra = ("kind", "input_csv", *extra) if kind == "resample" else ("kind", *extra)
         settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
-        base = read_labeled_csv(_path(doc, "input_csv"), "resample input") if kind == "resample" else None
+        base = None
+        if kind == "resample":
+            base = read_labeled_csv(_read("input_csv", doc["input_csv"], str), "resample input")
     return Generator(kind, settings, base)
 
 
 def parse_generation(doc: dict) -> tuple[Generator, str]:
     """A `cpsm generate` config: its generator block and output directory."""
     with _config_errors("generation config"):
-        return parse_generator(doc, extra=("output_dir",)), _path(doc, "output_dir", ".")
+        generator = parse_generator(doc, extra=("output_dir",))
+        return generator, _read("output_dir", doc.get("output_dir", "."), str)
+
+
+@dataclass
+class Grid:
+    """The benchmark's cells: every (a, k, n) of the three lists."""
+
+    a: list[float]
+    k: list[float]
+    n: list[int]
+
+    def __post_init__(self):
+        if not (self.a and self.k and self.n):
+            raise ValidationError("grid lists must be nonempty")
 
 
 @dataclass
 class ExperimentConfig:
     generator: Generator
     methods: list[str]
-    grid_a: list[float]
-    grid_k: list[float]
-    grid_n: list[int]
+    grid: Grid
     repetitions: int
     base_seed: int
     output_path: str
@@ -188,8 +197,6 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValidationError(f"unknown method {m!r}, expected one of {METHODS}")
-        if not (self.grid_a and self.grid_k and self.grid_n):
-            raise ValidationError("grid lists must be nonempty")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
         for _, run in self.runs():
@@ -198,7 +205,7 @@ class ExperimentConfig:
     def runs(self):
         """Each run in order as ((a, k, n, seed), the generator fields it sets)."""
         run_fields = _KINDS[self.generator.kind][1]
-        cells = [(a, k, n) for a in self.grid_a for k in self.grid_k for n in self.grid_n]
+        cells = [(a, k, n) for a in self.grid.a for k in self.grid.k for n in self.grid.n]
         for cell_index, (a, k, n) in enumerate(cells):
             for rep in range(self.repetitions):
                 seed = self.base_seed + cell_index * self.repetitions + rep
@@ -209,23 +216,9 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate the benchmark JSON document, including the
     generator config of every run."""
     with _config_errors("benchmark config"):
-        _check_keys(_as_json(doc, dict, "the config"), _BENCHMARK_KEYS)
-        grid = _as_json(doc["grid"], dict, "grid")
-        _check_keys(grid, ("a", "k", "n"))
         return ExperimentConfig(
             generator=parse_generator(doc["generator"], grid=True),
-            methods=list(_as_json(doc["methods"], list, "methods")),
-            grid_a=[json_number("a", v, float) for v in _as_json(grid["a"], list, "grid.a")],
-            grid_k=[json_number("k", v, float) for v in _as_json(grid["k"], list, "grid.k")],
-            grid_n=[json_number("n", v, int) for v in _as_json(grid["n"], list, "grid.n")],
-            repetitions=json_number("repetitions", doc["repetitions"], int),
-            base_seed=json_number("base_seed", doc["base_seed"], int),
-            output_path=_path(doc, "output_path"),
-            aggregate_path=_path(doc, "aggregate_path", None),
-            measure_wall_clock=_as_json(
-                doc.get("measure_wall_clock", False), bool, "measure_wall_clock"
-            ),
-            em=EmConfig(**config_fields(EmConfig, doc.get("em", {}))),
+            **config_fields(ExperimentConfig, doc, supplied=("generator",)),
         )
 
 

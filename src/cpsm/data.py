@@ -8,6 +8,7 @@ matching the CSV column order ``y,z1..,x1..``.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from dataclasses import dataclass
@@ -233,6 +234,16 @@ def _line_fault(line: str, width: int, labels: list[int]) -> str | None:
     return None
 
 
+@contextlib.contextmanager
+def _open_text(path, **kwargs):
+    """`path` opened as UTF-8 text; bytes that are not UTF-8 raise ValidationError."""
+    with open(path, "r", encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Read a dataset CSV; returns (z, x, y) with y None when all y cells are
     empty. A malformed file raises ValidationError naming the file and line;
@@ -247,7 +258,7 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     whitespace: Python-only spellings such as `1_0` or non-ASCII digits are
     non-numeric. A `y` cell is empty or an integer >= 1.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: line 1: empty file, expected a header")
@@ -306,9 +317,9 @@ def read_labels_csv(path) -> np.ndarray:
 
 
 def read_json_object(path) -> dict:
-    """The JSON object in the file at `path`; invalid JSON, or a value that
-    is not an object, raises ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON object in the file at `path`; invalid JSON, text that is not
+    UTF-8, or a value that is not an object raises ValidationError."""
+    with _open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .adjust import adjust_posterior
 from .data import UnlabeledDataset, read_json_object
-from .errors import ValidationError, check_integers, json_number
+from .errors import ValidationError, check_integers, check_reals, json_number
 from .softmax import (
     FitConfig,
     SoftmaxParams,
@@ -79,6 +79,7 @@ class EmConfig:
 
     def __post_init__(self):
         check_integers(self, max_em_iters=0)
+        check_reals(self, "em_tolerance")
         if not 0.0 < self.em_tolerance < math.inf:
             raise ValidationError(
                 f"em_tolerance must be positive and finite, got {self.em_tolerance}"
@@ -201,12 +202,7 @@ def params_from_prior(prior) -> SoftmaxParams:
         raise ValidationError("prior must be nonnegative and sum to 1 within 1e-9")
     p = clamp_probs(p)
     intercepts = np.log(p[:-1]) - np.log(p[-1])
-    return SoftmaxParams(
-        n_classes=p.shape[0],
-        n_features=0,
-        intercepts=intercepts,
-        slopes=np.zeros((p.shape[0] - 1, 0)),
-    )
+    return SoftmaxParams.from_weight_matrix(p.shape[0], intercepts[:, None])
 
 
 def fit_mlls(

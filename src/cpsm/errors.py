@@ -1,4 +1,4 @@
-"""Exception classes shared across the package, the integer check of the
+"""Exception classes shared across the package, the number checks of the
 config classes, and the rule that reads a number from a JSON document.
 
 The CLI maps these onto distinct exit codes, so code that detects a bad
@@ -32,6 +32,15 @@ def check_integers(config, **minimums) -> None:
             raise ValidationError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_reals(config, *names) -> None:
+    """Raise ValidationError unless each named field of `config` holds a real
+    number that is not a bool; its range is the caller's to check."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def json_number(name: str, value, kind: type):

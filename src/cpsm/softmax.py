@@ -20,7 +20,7 @@ import numpy as np
 
 from .adjust import check_posterior
 from .data import LabeledDataset, as_float_matrix
-from .errors import NumericalError, ValidationError, check_integers
+from .errors import NumericalError, ValidationError, check_integers, check_reals
 
 PROB_EPS = 1e-12
 
@@ -69,15 +69,6 @@ class SoftmaxParams:
         object.__setattr__(self, "intercepts", intercepts)
         object.__setattr__(self, "slopes", slopes)
 
-    @classmethod
-    def zeros(cls, n_classes: int, n_features: int) -> "SoftmaxParams":
-        return cls(
-            n_classes=n_classes,
-            n_features=n_features,
-            intercepts=np.zeros(n_classes - 1),
-            slopes=np.zeros((n_classes - 1, n_features)),
-        )
-
     def weight_matrix(self) -> np.ndarray:
         """(K-1, 1+d) block with column 0 the intercepts."""
         return np.hstack([self.intercepts[:, None], self.slopes])
@@ -102,6 +93,7 @@ class FitConfig:
 
     def __post_init__(self):
         check_integers(self, max_iters=1)
+        check_reals(self, "tolerance", "l2_penalty")
         if not 0.0 < self.tolerance < math.inf:
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if not 0.0 <= self.l2_penalty < math.inf:
@@ -238,13 +230,11 @@ def fit_soft(
     config: FitConfig,
     init: SoftmaxParams | None = None,
     sample_weights=None,
-    _trace: list | None = None,
 ) -> SoftmaxParams:
     """Maximize the soft-target cross-entropy objective (concave in the params).
 
     With one-hot targets this is ordinary maximum likelihood on hard labels.
-    `init` warm-starts the solver; `_trace` collects objective values for
-    diagnostics.
+    `init` warm-starts the solver.
     """
     feats = as_float_matrix(features, "features")
     t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
@@ -265,9 +255,7 @@ def fit_soft(
             )
         w0 = init.weight_matrix()
     aug = _augment(feats)
-    w, trace = _maximize(lambda w: _objective(w, aug, t, weights, config.l2_penalty), w0, config)
-    if _trace is not None:
-        _trace.extend(trace)
+    w, _ = _maximize(lambda w: _objective(w, aug, t, weights, config.l2_penalty), w0, config)
     return SoftmaxParams.from_weight_matrix(n_classes, w)
 
 

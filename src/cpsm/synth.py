@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ValidationError, check_integers
+from .errors import ValidationError, check_integers, check_reals
 
 BERNOULLI_Z = "bernoulli_z"
 GAUSSIAN_Z = "gaussian_z"
@@ -58,6 +58,7 @@ class SynthConfig:
                 f"dataset_kind must be '{BERNOULLI_Z}' or '{GAUSSIAN_Z}', got {self.dataset_kind!r}"
             )
         check_integers(self, n_source=1, n_target=1, d_z=0, d_x=0, seed=0)
+        check_reals(self, "source_cond_prob", "shift_slope", "target_prior")
         if self.d_x < self.d_z + 1:
             raise ValidationError(
                 f"d_x must be >= d_z + 1 to hold the class indicator plus z, got d_x={self.d_x}"
@@ -199,6 +200,7 @@ class ShiftProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_reals(self, "base_rate", "shift_delta")
         if not 0.0 < self.base_rate < 1.0:
             raise ValidationError("base_rate must lie in (0, 1)")
         if not 0.0 < self.base_rate + self.shift_delta < 1.0:

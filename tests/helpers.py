@@ -28,6 +28,11 @@ def finite_difference_gradient(func, x0: np.ndarray, step: float = 1e-6) -> np.n
     return grad
 
 
+def zero_params(n_classes: int, n_features: int) -> SoftmaxParams:
+    """The model whose every score is 0: uniform class probabilities."""
+    return SoftmaxParams.from_weight_matrix(n_classes, np.zeros((n_classes - 1, 1 + n_features)))
+
+
 def random_discrete_joint(rng: np.random.Generator) -> dict:
     """A random source/target pair of joints over binary x, z, y that share
     the x-given-(y, z) conditional. Probabilities kept away from 0 and 1."""

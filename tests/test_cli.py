@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import pathlib
+import typing
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from cpsm.data import read_dataset_csv
 from cpsm.em import EmConfig
 from cpsm.errors import ValidationError
 from cpsm.metrics import MetricRow
-from cpsm.synth import SynthConfig
+from cpsm.synth import ShiftProtocolConfig, SynthConfig
 
 
 def _read_metrics(path):
@@ -216,6 +218,21 @@ def test_adapt_names_the_file_and_line_of_a_malformed_csv(tmp_path, capsys, role
     assert not (tmp_path / "out.posterior.csv").exists()
 
 
+@pytest.mark.parametrize("role", ["source", "target"])
+def test_adapt_rejects_a_csv_that_is_not_utf8(tmp_path, capsys, role):
+    files = {"source": _SOURCE_CSV, "target": _TARGET_CSV}
+    for name, content in files.items():
+        (tmp_path / f"{name}.csv").write_text(content)
+    bad = tmp_path / f"{role}.csv"
+    bad.write_bytes(bad.read_bytes().replace(b"0.5", b"0.\xff"))
+    rc = main(["adapt", str(tmp_path / "source.csv"), str(tmp_path / "target.csv"),
+               "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out.fit.json").exists()
+    assert not (tmp_path / "out.posterior.csv").exists()
+
+
 def test_adapt_missing_file_exits_4(tmp_path):
     source, target = _generated_pair(tmp_path)
     assert main(["adapt", str(tmp_path / "nope.csv"), target,
@@ -350,6 +367,61 @@ def test_benchmark_config_defaults_come_from_the_config_classes():
     for em, key in [({"max_em_iters": 3, "seed": 5}, "seed"), ({"step_size": 0.5}, "step_size")]:
         with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
             bench.experiment_config_from_dict({**doc, "em": em})
+
+
+_MINIMAL_BENCHMARK = {
+    "generator": {"dataset_kind": "gaussian_z"},
+    "methods": ["cpsm"],
+    "grid": {"a": [0.3], "k": [1.0], "n": [50]},
+    "repetitions": 1,
+    "base_seed": 4,
+    "output_path": "unused.csv",
+}
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"methods": [1]}, "methods must be a JSON string"),
+        ({"generator": {"dataset_kind": 5}}, "dataset_kind must be a JSON string"),
+        ({"em": [1]}, "em must be a JSON object"),
+        ({"grid": {"a": [0.3], "k": [1.0]}}, "missing field: 'grid.n'"),
+    ],
+    ids=["method-number", "dataset-kind-number", "em-list", "grid-n-missing"],
+)
+def test_benchmark_settings_are_read_as_their_field_types(overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        bench.experiment_config_from_dict({**_MINIMAL_BENCHMARK, **overrides})
+
+
+def test_benchmark_aggregate_path_may_be_null():
+    doc = {**_MINIMAL_BENCHMARK, "aggregate_path": None}
+    assert bench.experiment_config_from_dict(doc).aggregate_path is None
+
+
+@pytest.mark.parametrize(
+    "cls", [SynthConfig, ShiftProtocolConfig, EmConfig, bench.Grid, bench.ExperimentConfig]
+)
+def test_every_config_field_type_has_a_json_reader(cls):
+    # A value of no JSON type fails the JSON type check of each field type
+    # the reader handles; a type it does not handle fails with another message.
+    for name, hint in typing.get_type_hints(cls).items():
+        if cls is bench.ExperimentConfig and name == "generator":
+            continue  # parsed as a generator block, not read as a field
+        with pytest.raises(TypeError, match=f"^{name} must be a JSON "):
+            bench._read(name, object(), hint)
+
+
+@pytest.mark.parametrize("command", ["generate", "benchmark"])
+def test_config_that_is_not_utf8_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    make_config = _gen_config if command == "generate" else _bench_config
+    config = pathlib.Path(make_config(tmp_path, "out"))
+    config.write_bytes(config.read_bytes().replace(b"bernoulli_z", b"bernoulli_\xff"))
+    capsys.readouterr()
+    assert main([command, str(config)]) == 2
+    assert f"{config}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _labeled_csv(tmp_path):

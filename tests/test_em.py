@@ -23,7 +23,12 @@ from cpsm import (
 from cpsm.em import M_STEP, load_fit_json, save_fit_json
 from cpsm.softmax import FitConfig, clamp_probs, fit_hard, fit_soft, predict_proba
 
-from helpers import GaussianGenConfig, bayes_posterior_from_joint, generate_gaussian_family
+from helpers import (
+    GaussianGenConfig,
+    bayes_posterior_from_joint,
+    generate_gaussian_family,
+    zero_params,
+)
 
 
 def _sigmoid(v):
@@ -423,8 +428,8 @@ def test_em_round_budget_must_be_a_nonnegative_integer(value):
 def test_mismatched_models_rejected(small_models):
     with pytest.raises(ValidationError):
         SourceModels(
-            posterior_model=SoftmaxParams.zeros(2, 3),
-            conditional_model=SoftmaxParams.zeros(3, 2),
+            posterior_model=zero_params(2, 3),
+            conditional_model=zero_params(3, 2),
         )
     with pytest.raises(ValidationError):
         fit_cpsm(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cpsm import LabeledDataset, SoftmaxParams, ValidationError, predict_proba
 from cpsm.softmax import (
     FitConfig,
+    _augment,
     _maximize,
     _objective,
     fit_hard,
@@ -18,11 +19,11 @@ from cpsm.softmax import (
     one_hot,
 )
 
-from helpers import finite_difference_gradient
+from helpers import finite_difference_gradient, zero_params
 
 
 def test_zero_params_give_uniform_probs():
-    params = SoftmaxParams.zeros(3, 2)
+    params = zero_params(3, 2)
     probs = predict_proba(params, np.array([[1.5, -2.0], [0.0, 4.0]]))
     assert np.allclose(probs, 1.0 / 3.0)
 
@@ -48,7 +49,7 @@ def test_large_scores_do_not_overflow():
 
 
 def test_dimension_mismatch_rejected():
-    params = SoftmaxParams.zeros(2, 3)
+    params = zero_params(2, 3)
     with pytest.raises(ValidationError):
         predict_proba(params, np.zeros((4, 2)))
 
@@ -162,13 +163,13 @@ def test_bad_target_rows_rejected():
 
 
 def test_log_likelihood_fair_coin():
-    params = SoftmaxParams.zeros(2, 0)
+    params = zero_params(2, 0)
     value = log_likelihood(params, np.zeros((1, 0)), np.array([[0.5, 0.5]]))
     assert value == pytest.approx(-math.log(2.0), abs=1e-12)
 
 
 def test_log_likelihood_one_hot_reference_class():
-    params = SoftmaxParams.zeros(4, 0)
+    params = zero_params(4, 0)
     target = np.array([[0.0, 0.0, 0.0, 1.0]])
     value = log_likelihood(params, np.zeros((1, 0)), target)
     assert value == pytest.approx(-math.log(4.0), abs=1e-12)
@@ -228,8 +229,9 @@ def test_objective_trace_is_monotone(l2):
     feats = rng.standard_normal((80, 3))
     targets = rng.random((80, 3)) + 0.1
     targets /= targets.sum(axis=1, keepdims=True)
-    trace: list = []
-    fit_soft(feats, targets, FitConfig(l2_penalty=l2), _trace=trace)
+    aug, weights = _augment(feats), np.ones(80)
+    objective = lambda w: _objective(w, aug, targets, weights, l2)
+    _, trace = _maximize(objective, np.zeros((2, 4)), FitConfig(l2_penalty=l2))
     diffs = np.diff(trace)
     assert np.all(diffs >= -1e-10)
 
@@ -255,7 +257,7 @@ def test_sample_weights_reweight_the_fit():
 
 
 def test_log_likelihood_shape_mismatch_rejected():
-    params = SoftmaxParams.zeros(3, 2)
+    params = zero_params(3, 2)
     with pytest.raises(ValidationError):
         log_likelihood(params, np.zeros((2, 2)), np.full((2, 2), 0.5))
     with pytest.raises(ValidationError):
@@ -281,13 +283,13 @@ def test_fit_config_validation():
 
 
 def test_params_are_immutable():
-    params = SoftmaxParams.zeros(2, 1)
+    params = zero_params(2, 1)
     with pytest.raises(ValueError):
         params.intercepts[0] = 1.0
 
 
 def test_warm_start_shape_mismatch_rejected():
-    init = SoftmaxParams.zeros(2, 3)
+    init = zero_params(2, 3)
     with pytest.raises(ValidationError):
         fit_soft(np.zeros((4, 2)), np.tile([0.5, 0.5], (4, 1)), FitConfig(), init=init)
 

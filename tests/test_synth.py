@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from cpsm import (
+    EmConfig,
+    FitConfig,
     LabeledDataset,
     ShiftProtocolConfig,
     SoftmaxParams,
@@ -233,6 +235,32 @@ def test_integer_fields_reject_nan_fractions_and_negatives(make, field, value):
         settings = dict(base_rate=0.3, shift_delta=0.2, n_source=10, n_target=10)
     make(**settings)
     with pytest.raises(ValidationError, match=f"{field} must be"):
+        make(**{**settings, field: value})
+
+
+_SYNTH = dict(dataset_kind="bernoulli_z", n_source=10, n_target=10)
+_SHIFT = dict(base_rate=0.3, shift_delta=0.2, n_source=10, n_target=10)
+
+
+@pytest.mark.parametrize(
+    "make, settings, field",
+    [
+        (FitConfig, {}, "tolerance"),
+        (FitConfig, {}, "l2_penalty"),
+        (EmConfig, {}, "em_tolerance"),
+        (SynthConfig, _SYNTH, "source_cond_prob"),
+        (SynthConfig, _SYNTH, "shift_slope"),
+        (SynthConfig, _SYNTH, "target_prior"),
+        (ShiftProtocolConfig, _SHIFT, "base_rate"),
+        (ShiftProtocolConfig, _SHIFT, "shift_delta"),
+    ],
+)
+@pytest.mark.parametrize("value", [True, False, "1e-8", None])
+def test_real_fields_reject_booleans_strings_and_none(make, settings, field, value):
+    # A bool is a number to Python, so True passed each range test as 1.0;
+    # a string or None failed the first comparison with a bare TypeError.
+    make(**settings)
+    with pytest.raises(ValidationError, match=f"{field} must be a real number"):
         make(**{**settings, field: value})
 
 
