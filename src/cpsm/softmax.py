@@ -134,19 +134,16 @@ def _augment(feats: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((feats.shape[0], 1)), feats])
 
 
-_LOG_EPS = float(np.log(PROB_EPS))
-
-
 def _objective(w, aug, targets, weights, l2):
     """Weighted soft-target log-likelihood minus the ridge penalty on slopes,
     and its gradient with respect to `w`: returns (value, gradient). The
-    two-class case runs on flat score vectors."""
+    two-class case runs on flat score vectors, and its log-probabilities
+    come from `logaddexp` unclamped: a clamped value would be flat where
+    the gradient is not."""
     if targets.shape[1] == 2:
         scores = aug @ w[0]
         log_p1 = -np.logaddexp(0.0, -scores)
         log_p2 = -np.logaddexp(0.0, scores)
-        np.maximum(log_p1, _LOG_EPS, out=log_p1)
-        np.maximum(log_p2, _LOG_EPS, out=log_p2)
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
         resid = (targets[:, 0] - np.exp(log_p1)) * weights
         g = (resid @ aug)[None, :].copy()
