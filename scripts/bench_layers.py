@@ -1,17 +1,22 @@
-"""Per-layer benchmark of the dataset CSV reader and writer and of the
-synthetic pair generator.
+"""Per-layer benchmark of the dataset CSV reader and writer, the
+synthetic pair generator and the EM.
 
-    python scripts/bench_layers.py [--src DIR] [--baseline DIR] [--n N ...] [--rounds R] [--out FILE]
+    python scripts/bench_layers.py [--src DIR] [--baseline DIR] [--n N ...] [--rounds R]
+                                   [--ops OP ...] [--out FILE]
 
 Imports `cpsm` from `--src` (default: the src/ of this checkout). For both
-synthetic families and each n (default 2k, 20k and 100k) it times three
-ops:
+synthetic families and each n (default 2k, 20k and 100k) it times four
+ops, grouped as `--ops` names them (default: all three groups):
 
-- `read`: `cpsm.data.read_dataset_csv` on the labeled source file of a
-  generated pair with n rows;
-- `write`: `cpsm.data.write_dataset_csv` of the same rows;
+- `csv`, two ops:
+  - `read`: `cpsm.data.read_dataset_csv` on the labeled source file of a
+    generated pair with n rows;
+  - `write`: `cpsm.data.write_dataset_csv` of the same rows;
 - `generate`: `cpsm.synth.generate_pair` of a pair with n rows on each
-  side (slope 5, prior 0.05, seed 1), its intercept calibration included.
+  side (slope 5, prior 0.05, seed 1), its intercept calibration included;
+- `em`: `cpsm.em.fit_cpsm` with a cap of EM_ROUNDS rounds on the same
+  pair, from source models fitted (untimed) by `fit_hard` with the default
+  `FitConfig`.
 
 Every timed call runs in a fresh Python process, one at a time, with one
 BLAS thread; it reports its own seconds and peak RSS (`VmHWM` on Linux,
@@ -19,16 +24,23 @@ else `ru_maxrss`), so the memory is that of the one call plus the
 interpreter, numpy and, for a write, the arrays it writes. A generate call
 also reports a count that does not depend on the machine: how many times
 the intercept calibration evaluated its expectation, and over how many
-points in all.
+points in all. An em call reports the machine-independent counts of the EM
+next to its seconds: the EM rounds, the M-step fits, the objective
+evaluations (`softmax._objective` calls) and the solver iterations (the
+steps the M-step solver took). It counts them in a second, untimed run of
+the same fit, with the solver functions wrapped, and checks that the two
+runs agree bit for bit.
 
 With `--baseline DIR`, the `cpsm` under DIR (for example the src/ of a
 checkout of the parent commit) runs on the same files, alternating with
 `--src` in every round and going first in every other round, so that drift
 of the machine falls on both. Each side's arrays from a read must be
 bitwise equal, and each written file must equal the input file byte for
-byte; a mismatch fails the run. The generated pairs are compared, not
-required equal: a case records whether each side's source and target
-arrays equal those of the first side.
+byte; a mismatch fails the run. The generated pairs and the EM posteriors
+are compared, not required equal: a case records whether each side's
+source and target arrays equal those of the first side, and how far each
+side's EM posterior lies from the first side's, as the largest absolute
+difference.
 
 The JSON result, with the machine it ran on, goes to standard output and,
 with `--out`, to a file.
@@ -49,20 +61,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("bernoulli_z", "gaussian_z")
 DEFAULT_N = (2_000, 20_000, 100_000)
+OPS = ("csv", "generate", "em")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MB = 2.0**20
 
-# One timed call, run as `python -c _CALL op src arg1 arg2`: for a read or
-# a write, arg1 and arg2 are the CSV and NPZ paths, for a generate the
-# family and n. A read prints a digest of the arrays it returns; a write
-# writes to the CSV path the arrays stored in the NPZ file; a generate
-# prints a digest of each side of the pair.
+# The EM round cap of an em call, as in the benchmark's adapt-bernoulli-20k
+# workload: every side and seed runs the same number of rounds.
+EM_ROUNDS = 50
+
+# One timed call, run as `python -c _CALL op src arg1 arg2 [out rounds]`:
+# for a read or a write, arg1 and arg2 are the CSV and NPZ paths, for a
+# generate or an em call the family and n. A read prints a digest of the
+# arrays it returns; a write writes to the CSV path the arrays stored in
+# the NPZ file; a generate prints a digest of each side of the pair; an em
+# call runs at most `rounds` EM rounds, saves its posterior to the .npy
+# path `out` and prints its counts.
 _CALL = r"""
 import hashlib, json, resource, sys, time
-op, src, arg1, arg2 = sys.argv[1:]
+op, src, arg1, arg2, *extra = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
-from cpsm import data, synth
+from cpsm import data, em, softmax, synth
 
 def peak_kb():
     # VmHWM is this process's own high-water mark. ru_maxrss would do
@@ -95,23 +114,61 @@ class CountingNumpy:
         CountingNumpy.points += np.size(a)
         return np.reciprocal(a, *args, **kwargs)
 
+def em_counts(fit_em):
+    # Wraps the objective and whichever solvers this cpsm has, where
+    # `fit_soft` looks them up, for one run of `fit_em`.
+    counts = {"objective_evaluations": 0, "solver_iterations": 0, "m_steps": 0}
+
+    def objective(*args, **kwargs):
+        counts["objective_evaluations"] += 1
+        return original["_objective"](*args, **kwargs)
+
+    def solver(name):
+        def run(*args, **kwargs):
+            w, trace = original[name](*args, **kwargs)
+            counts["m_steps"] += 1
+            counts["solver_iterations"] += len(trace) - 1
+            return w, trace
+        return run
+
+    original = {name: getattr(softmax, name)
+                for name in ("_objective", "_maximize", "_newton") if hasattr(softmax, name)}
+    for name in original:
+        setattr(softmax, name, objective if name == "_objective" else solver(name))
+    try:
+        return fit_em(), counts
+    finally:
+        for name, fn in original.items():
+            setattr(softmax, name, fn)
+
 if op == "write":
     with np.load(arg2) as arrays:
         z, x, y = arrays["z"], arrays["x"], arrays["y"]
-if op == "generate":
+if op in ("generate", "em"):
     config = synth.SynthConfig(
         dataset_kind=arg1, n_source=int(arg2), n_target=int(arg2), shift_slope=5.0,
         target_prior=0.05, seed=1,
     )
+if op == "generate":
     synth.np = CountingNumpy()
+if op == "em":
+    source, target = synth.generate_pair(config)
+    fit_config = softmax.FitConfig()
+    models = em.SourceModels(
+        softmax.fit_hard(source, fit_config, "zx"), softmax.fit_hard(source, fit_config, "z")
+    )
+    unlabeled = target.unlabeled()
+    fit_em = lambda: em.fit_cpsm(models, unlabeled, em.EmConfig(max_em_iters=int(extra[1])))
 before_kb = peak_kb()
 start = time.perf_counter()
 if op == "read":
     z, x, y = data.read_dataset_csv(arg1)
 elif op == "write":
     data.write_dataset_csv(arg1, z, x, y)
-else:
+elif op == "generate":
     source, target = synth.generate_pair(config)
+else:
+    fit = fit_em()
 seconds = time.perf_counter() - start
 peak_kb = peak_kb()
 result = {"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb,
@@ -121,6 +178,14 @@ if op == "generate":
     result["target_digest"] = digest(target.z, target.x, target.y)
     result["calibration_evaluations"] = CountingNumpy.evaluations
     result["calibration_points"] = CountingNumpy.points
+elif op == "em":
+    counted, counts = em_counts(fit_em)
+    result["digest"] = digest(fit.target_posterior, fit.loglik_trace)
+    if digest(counted.target_posterior, counted.loglik_trace) != result["digest"]:
+        raise SystemExit("the counted EM run differs from the timed one")
+    result.update(counts, em_rounds=fit.iterations_run,
+                  final_surrogate=float(fit.loglik_trace[-1]))
+    np.save(extra[0], fit.target_posterior)
 else:
     result["digest"] = digest(z, x, y)
 print(json.dumps(result))
@@ -153,10 +218,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _call(op: str, src: Path, arg1, arg2) -> dict:
+def _call(op: str, src: Path, *args) -> dict:
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     done = subprocess.run(
-        [sys.executable, "-c", _CALL, op, str(src), str(arg1), str(arg2)],
+        [sys.executable, "-c", _CALL, op, str(src), *map(str, args)],
         env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
@@ -246,6 +311,36 @@ def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     return case
 
 
+def em_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
+    """`fit_cpsm` timings and counts of each side on one generated pair."""
+    import numpy as np
+
+    calls = {name: [] for name in sides}
+    names = list(sides)
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            out = work / f"{name}-{family}-{n}-posterior.npy"
+            calls[name].append(_call("em", sides[name], family, n, out, EM_ROUNDS))
+    first = np.load(work / f"{names[0]}-{family}-{n}-posterior.npy")
+    case = {"op": "em", "family": family, "n": n, "max_em_iters": EM_ROUNDS}
+    for name in names:
+        if len({c["digest"] for c in calls[name]}) != 1:
+            raise SystemExit(f"bench_layers.py: {name} fitted different {family} n={n} EMs")
+        last = calls[name][-1]
+        posterior = np.load(work / f"{name}-{family}-{n}-posterior.npy")
+        case[name] = {
+            **_summary(calls[name]),
+            **{key: last[key] for key in (
+                "em_rounds", "m_steps", "solver_iterations", "objective_evaluations",
+                "final_surrogate",
+            )},
+            "max_abs_posterior_diff_vs_first_side": float(np.max(np.abs(posterior - first))),
+        }
+    if "baseline" in sides:
+        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
+    return case
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -255,6 +350,8 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, nargs="+", default=list(DEFAULT_N),
                         help="row counts (default: 2000 20000 100000)")
     parser.add_argument("--rounds", type=int, default=3, help="timed calls per side and case")
+    parser.add_argument("--ops", nargs="+", choices=OPS, default=list(OPS),
+                        help="op groups to run (default: all)")
     parser.add_argument("--out", type=Path, default=None, help="also write the JSON here")
     args = parser.parse_args(argv)
     if args.rounds < 1 or min(args.n) < 1:
@@ -268,8 +365,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_layers-") as tmp:
         for n in args.n:
             for family in FAMILIES:
-                cases.append(csv_case(family, n, sides, Path(tmp), args.rounds))
-                cases.append(generate_case(family, n, sides, args.rounds))
+                if "csv" in args.ops:
+                    cases.append(csv_case(family, n, sides, Path(tmp), args.rounds))
+                if "generate" in args.ops:
+                    cases.append(generate_case(family, n, sides, args.rounds))
+                if "em" in args.ops:
+                    cases.append(em_case(family, n, sides, Path(tmp), args.rounds))
     result = {
         "machine": machine(),
         "sides": {name: str(path) for name, path in sides.items()},

@@ -5,9 +5,11 @@ The E-step turns source posteriors into target responsibilities through the
 conditional-ratio reweighting: `adjust_posterior(p_xz, q_z, p_z)` on the
 clamped source posterior p(y | z, x), shifted conditional q(y | z; theta) and
 source conditional p(y | z) of every target row. The M-step refits the
-shifted conditional model on those responsibilities with the fixed solver
-settings `M_STEP`, unpenalized and warm-started from the previous round, so
-the marginal-likelihood surrogate can only go up. The prior-only correction
+shifted conditional model on those responsibilities by `fit_soft`, whose
+Newton steps on the exact Hessian converge in a few iterations from the
+previous round's warm start. It runs the fixed solver settings `M_STEP`,
+unpenalized, and its Armijo line search never lowers the M-step objective,
+so the marginal-likelihood surrogate can only go up. The prior-only correction
 (empty conditioning block) and the uncorrected baseline fall out as special
 cases.
 
@@ -17,9 +19,9 @@ then fits the mean responsibilities of every pattern, weighted by its row
 count, and each E-step scores q(y | z; theta) once per pattern. So the
 M-step cost scales with the number of distinct z patterns (32 for five
 binary columns, 1 for the prior-only case), not with the target rows. The
-objective and its gradient are the row-wise sums regrouped. Continuous z has
-as many patterns as rows, each of count 1, and runs the row-wise arithmetic
-unchanged.
+objective, its gradient and its Hessian are the row-wise sums regrouped.
+Continuous z has as many patterns as rows, each of count 1, and runs the
+row-wise arithmetic unchanged.
 """
 from __future__ import annotations
 
@@ -43,10 +45,10 @@ from .softmax import (
 
 FIT_FORMAT_VERSION = 1
 
-# The M-step solver: a short warm-started budget and no ridge penalty. A
-# ridge would make each M-step maximize a penalized objective, and EM's
-# guarantee that the surrogate never decreases holds only for the M-step of
-# the plain likelihood.
+# The M-step solver settings: a short warm-started budget of Newton steps
+# and no ridge penalty. A ridge would make each M-step maximize a penalized
+# objective, and EM's guarantee that the surrogate never decreases holds
+# only for the M-step of the plain likelihood.
 M_STEP = FitConfig(max_iters=200, l2_penalty=0.0)
 
 

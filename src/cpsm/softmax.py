@@ -1,14 +1,22 @@
 """Multinomial logistic regression with hard- and soft-label targets.
 
 Class K is the implicit reference class: its intercept and slopes are fixed
-at zero, so a model over K classes stores K-1 parameter rows. The solver is
-deterministic full-batch gradient-only ascent: limited-memory quasi-Newton
-directions with a backtracking Armijo line search, so the objective trace is
-non-decreasing by construction and a warm start can only be improved.
+at zero, so a model over K classes stores K-1 parameter rows. Both solvers
+are deterministic full-batch ascent with a backtracking Armijo line search,
+so the objective trace is non-decreasing by construction and a warm start
+can only be improved:
 
-Solver contract: `_maximize(objective, w0, config)` ascends a callable
-`w -> (value, gradient)` over the (K-1, 1+d) weight block; `_objective` is
-the one objective, shared by `fit_soft`, `log_likelihood` and its gradient.
+- `fit_soft`, the EM's M-step, runs Newton's method on the exact Hessian,
+  with its eigenvalues floored so that a separable direction gets a long but
+  finite step. It warm-starts near the optimum and takes a few steps.
+- `fit_hard`, the source and oracle fits, runs limited-memory quasi-Newton
+  from zero, which costs less per step on many rows.
+
+Solver contract: `_newton(objective, w0, config)` ascends a callable
+`w -> (value, gradient, Hessian)` and `_maximize(objective, w0, config)` a
+callable `w -> (value, gradient)`, both over the (K-1, 1+d) weight block.
+`_objective` is the one objective, shared by both solvers,
+`log_likelihood` and its gradient.
 """
 from __future__ import annotations
 
@@ -29,6 +37,8 @@ _ARMIJO_C1 = 1e-4
 _STEP_SIZE = 0.1
 _MAX_HALVINGS = 50
 _CURVATURE_EPS = 1e-10
+# Newton's floor on the eigenvalues of -H, relative to the largest.
+_EIG_FLOOR = 1e-10
 # How many of a source's missing labels the label-gap error names.
 _NAMED_LABELS = 5
 
@@ -134,9 +144,12 @@ def _augment(feats: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((feats.shape[0], 1)), feats])
 
 
-def _objective(w, aug, targets, weights, l2):
+def _objective(w, aug, targets, weights, l2, hessian=False):
     """Weighted soft-target log-likelihood minus the ridge penalty on slopes,
-    and its gradient with respect to `w`: returns (value, gradient). The
+    and its gradient with respect to `w`: returns (value, gradient), or with
+    `hessian` (value, gradient, Hessian) from the same pass. The Hessian is
+    -sum_i weights_i (diag p_i - p_i p_i^T) kron a_i a_i^T, minus the ridge,
+    over the flattened (K-1, 1+d) block, a_i the augmented row. The
     two-class case runs on flat score vectors, and its log-probabilities
     come from `logaddexp` unclamped: a clamped value would be flat where
     the gradient is not."""
@@ -147,15 +160,30 @@ def _objective(w, aug, targets, weights, l2):
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
         resid = (targets[:, 0] - np.exp(log_p1)) * weights
         g = (resid @ aug)[None, :].copy()
+        if hessian:
+            # p1 p2 from the logs keeps its precision where p1 is near 1.
+            h = -(aug.T * (weights * np.exp(log_p1 + log_p2))) @ aug
     else:
         probs = _softmax(aug @ w.T)
         value = float(np.sum(weights[:, None] * targets * np.log(clamp_probs(probs))))
         resid = (targets[:, :-1] - probs[:, :-1]) * weights[:, None]
         g = resid.T @ aug
+        if hessian:
+            n, width = aug.shape
+            head = probs[:, :-1]
+            outer = (head[:, :, None] * aug[:, None, :]).reshape(n, -1)
+            h = (outer * weights[:, None]).T @ outer
+            for k in range(head.shape[1]):
+                block = slice(k * width, (k + 1) * width)
+                h[block, block] -= (aug.T * (weights * head[:, k])) @ aug
     if l2 > 0:
         value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
         g[:, 1:] -= l2 * w[:, 1:]
-    return value, g
+        if hessian:
+            ridge = np.full(w.shape, l2)
+            ridge[:, 0] = 0.0
+            h[np.diag_indices_from(h)] -= ridge.ravel()
+    return (value, g, h) if hessian else (value, g)
 
 
 def _two_loop(g: np.ndarray, history: deque) -> np.ndarray:
@@ -177,6 +205,25 @@ def _two_loop(g: np.ndarray, history: deque) -> np.ndarray:
     return q.reshape(g.shape)
 
 
+def _line_search(objective, w, obj, g, direction):
+    """Armijo backtracking from `w`, where the objective is `obj` and its
+    gradient `g`, along `direction`: halve the step from 1 until the value
+    gains at least _ARMIJO_C1 of the linear prediction. Returns the accepted
+    point and its objective result, or None when `direction` does not
+    ascend or after _MAX_HALVINGS halvings."""
+    slope = float(g.ravel() @ direction.ravel())
+    if not slope > 0.0:
+        return None
+    step = 1.0
+    for _ in range(_MAX_HALVINGS):
+        cand = w + step * direction
+        result = objective(cand)
+        if np.isfinite(result[0]) and result[0] >= obj + _ARMIJO_C1 * step * slope:
+            return cand, result
+        step *= 0.5
+    return None
+
+
 def _maximize(objective, w0: np.ndarray, config: FitConfig):
     """Monotone quasi-Newton ascent of `objective`, a callable w -> (value,
     gradient); returns (weights, objective trace)."""
@@ -193,20 +240,11 @@ def _maximize(objective, w0: np.ndarray, config: FitConfig):
             # restart from the gradient scaled so its largest move is _STEP_SIZE.
             history.clear()
             direction = g * (_STEP_SIZE / max(float(np.max(np.abs(g))), 1e-30))
-        slope = float(g.ravel() @ direction.ravel())
-        if slope <= 0.0:
+        accepted = _line_search(objective, w, obj, g, direction)
+        if accepted is None:
             trace.append(obj)
             break
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = w + step * direction
-            cand_obj, new_g = objective(cand)
-            if np.isfinite(cand_obj) and cand_obj >= obj + _ARMIJO_C1 * step * slope:
-                break
-            step *= 0.5
-        else:
-            trace.append(obj)
-            break
+        cand, (cand_obj, new_g) = accepted
         s = (cand - w).ravel()
         y = (g - new_g).ravel()
         sy, y_norm = float(s @ y), float(np.linalg.norm(y))
@@ -221,6 +259,43 @@ def _maximize(objective, w0: np.ndarray, config: FitConfig):
     return w, trace
 
 
+def _newton_direction(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """Solve (-H) d = g for the (K-1, 1+d) step d, with the eigenvalues of -H
+    floored at _EIG_FLOOR of the largest |eigenvalue|, so that a flat or
+    separable direction gets a long but finite step. None where no finite
+    step exists: every curvature underflowed to 0 or to a subnormal."""
+    lam, vecs = np.linalg.eigh(-h)
+    floor = _EIG_FLOOR * float(np.max(np.abs(lam)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = vecs @ ((vecs.T @ g.ravel()) / np.maximum(lam, floor))
+    return d.reshape(g.shape) if np.all(np.isfinite(d)) else None
+
+
+def _newton(objective, w0: np.ndarray, config: FitConfig):
+    """Monotone Newton ascent of a concave `objective`, a callable w ->
+    (value, gradient, Hessian), with the Armijo backtracking and the
+    max|step| < `tolerance` stop of `_maximize`; returns (weights,
+    objective trace)."""
+    w = w0.copy()
+    obj, g, h = objective(w)
+    if not np.isfinite(obj):
+        raise NumericalError("non-finite objective at initialization")
+    trace = [obj]
+    for _ in range(config.max_iters):
+        direction = _newton_direction(g, h)
+        accepted = None if direction is None else _line_search(objective, w, obj, g, direction)
+        if accepted is None:
+            trace.append(obj)
+            break
+        cand, (obj, g, h) = accepted
+        delta = float(np.max(np.abs(cand - w)))
+        w = cand
+        trace.append(obj)
+        if delta < config.tolerance:
+            break
+    return w, trace
+
+
 def fit_soft(
     features,
     targets,
@@ -228,7 +303,8 @@ def fit_soft(
     init: SoftmaxParams | None = None,
     sample_weights=None,
 ) -> SoftmaxParams:
-    """Maximize the soft-target cross-entropy objective (concave in the params).
+    """Maximize the soft-target cross-entropy objective (concave in the params)
+    by Newton's method (`_newton`).
 
     With one-hot targets this is ordinary maximum likelihood on hard labels.
     `init` warm-starts the solver.
@@ -252,7 +328,9 @@ def fit_soft(
             )
         w0 = init.weight_matrix()
     aug = _augment(feats)
-    w, _ = _maximize(lambda w: _objective(w, aug, t, weights, config.l2_penalty), w0, config)
+    w, _ = _newton(
+        lambda w: _objective(w, aug, t, weights, config.l2_penalty, hessian=True), w0, config
+    )
     return SoftmaxParams.from_weight_matrix(n_classes, w)
 
 
@@ -264,9 +342,10 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx") -> SoftmaxParams:
-    """Maximum likelihood fit on hard labels over the selected feature block.
-    Every label in 1..K, K the largest label, must have rows: a class with
-    none would get an intercept that runs off towards minus infinity."""
+    """Maximum likelihood fit on hard labels over the selected feature block,
+    by the quasi-Newton `_maximize` from zero. Every label in 1..K, K the
+    largest label, must have rows: a class with none would get an intercept
+    that runs off towards minus infinity."""
     present = np.unique(data.y)
     if present.size < 2:
         raise ValidationError("degenerate labels: need at least 2 distinct classes")
@@ -283,7 +362,13 @@ def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx")
         )
     feats = data.features(feature_block)
     targets = one_hot(data.y, data.n_classes)
-    return fit_soft(feats, targets, config)
+    aug, weights = _augment(feats), np.ones(feats.shape[0])
+    w, _ = _maximize(
+        lambda w: _objective(w, aug, targets, weights, config.l2_penalty),
+        np.zeros((data.n_classes - 1, aug.shape[1])),
+        config,
+    )
+    return SoftmaxParams.from_weight_matrix(data.n_classes, w)
 
 
 def _unit_weight_problem(params: SoftmaxParams, features, targets):

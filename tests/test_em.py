@@ -363,16 +363,19 @@ def test_grouped_em_is_bitwise_row_wise_em_when_every_z_row_is_distinct():
     assert np.array_equal(result.theta_hat.weight_matrix(), theta.weight_matrix())
 
 
-def test_permuting_target_rows_permutes_the_posterior():
-    models, target = _shifted_pair("bernoulli_z", 1)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_permuting_target_rows_permutes_the_posterior(seed):
+    models, target = _shifted_pair("bernoulli_z", seed)
     perm = np.random.default_rng(0).permutation(target.n_rows)
     shuffled = UnlabeledDataset(z=target.z[perm], x=target.x[perm])
     result = fit_cpsm(models, target, EmConfig())
     permuted = fit_cpsm(models, shuffled, EmConfig())
     assert permuted.iterations_run == result.iterations_run
-    # Reordered sums change the rounding, and the M-step solver stops on a
-    # 1e-7 step; the row-wise EM moves by 2.7e-7 under this permutation.
-    assert np.max(np.abs(permuted.target_posterior - result.target_posterior[perm])) <= 1e-6
+    # Reordered sums change only the rounding of each M-step. The Newton
+    # M-step converges quadratically, so its last step, below the 1e-7
+    # tolerance, leaves the fit far closer to the optimum than that: the
+    # posteriors move by 3.1e-10, 5.1e-13 and 2.8e-14 on seeds 1-3.
+    assert np.max(np.abs(permuted.target_posterior - result.target_posterior[perm])) <= 1e-8
 
 
 def test_one_row_target_matches_row_wise_em(small_models, small_pair):

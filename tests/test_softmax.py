@@ -11,6 +11,7 @@ from cpsm.softmax import (
     FitConfig,
     _augment,
     _maximize,
+    _newton,
     _objective,
     fit_hard,
     fit_soft,
@@ -351,3 +352,108 @@ def test_underflowed_curvature_pair_is_skipped():
     )
     assert np.all(np.isfinite(w)) and w[0, 0] > 300.0
     assert np.all(np.diff(trace) >= 0.0)
+
+
+def _soft_problem(rng, n, d, n_classes):
+    """Random features, soft targets kept away from 0 and positive weights."""
+    feats = rng.standard_normal((n, d))
+    targets = rng.random((n, n_classes)) + 0.05
+    targets /= targets.sum(axis=1, keepdims=True)
+    return _augment(feats), targets, rng.random(n) * 2.0 + 0.1
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+def test_hessian_matches_finite_differences_of_the_gradient(n_classes, l2):
+    # As acceptance criterion 03 checks the gradient against the value:
+    # each Hessian column against central differences of the gradient.
+    rng = np.random.default_rng(100 + n_classes)
+    for _ in range(10):
+        n, d = int(rng.integers(2, 51)), int(rng.integers(0, 6))
+        aug, targets, weights = _soft_problem(rng, n, d, n_classes)
+        flat0 = rng.standard_normal((n_classes - 1) * (d + 1))
+        shape = (n_classes - 1, d + 1)
+
+        def grad(flat):
+            return _objective(flat.reshape(shape), aug, targets, weights, l2)[1].ravel()
+
+        value, g, hess = _objective(flat0.reshape(shape), aug, targets, weights, l2, hessian=True)
+        # The Hessian rides on the same pass: value and gradient are unchanged.
+        plain = _objective(flat0.reshape(shape), aug, targets, weights, l2)
+        assert value == plain[0] and np.array_equal(g, plain[1])
+        assert hess.shape == (flat0.size, flat0.size)
+        assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
+        numeric = np.column_stack([
+            finite_difference_gradient(lambda flat: grad(flat)[i], flat0) for i in range(flat0.size)
+        ])
+        rel = np.linalg.norm(hess - numeric) / max(np.linalg.norm(hess), 1e-12)
+        assert rel < 1e-5
+
+
+@pytest.mark.parametrize("l2", [0.0, 1e-3])
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_newton_trace_is_non_decreasing(n_classes, l2):
+    # The solver behind `fit_soft`, from a start far from the optimum.
+    rng = np.random.default_rng(17)
+    aug, targets, weights = _soft_problem(rng, 80, 3, n_classes)
+    objective = lambda w: _objective(w, aug, targets, weights, l2, hessian=True)
+    w0 = 5.0 * rng.standard_normal((n_classes - 1, 4))
+    _, trace = _newton(objective, w0, FitConfig(l2_penalty=l2))
+    assert len(trace) > 2
+    assert np.all(np.diff(trace) >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "targets_neg, targets_pos",
+    [([1.0, 0.0], [0.0, 1.0]), ([1.0, 0.0, 0.0], [0.0, 0.5, 0.5])],
+)
+def test_separated_soft_targets_give_finite_weights(targets_neg, targets_pos):
+    # The sign of x separates class 1 from the rest, so with no ridge the
+    # likelihood rises without bound along one direction. Newton's eigenvalue
+    # floor keeps every step finite, and the fit stops with finite weights.
+    rng = np.random.default_rng(2)
+    x = np.concatenate([rng.standard_normal(60) - 4.0, rng.standard_normal(60) + 4.0])
+    targets = np.array([targets_neg] * 60 + [targets_pos] * 60)
+    params = fit_soft(x[:, None], targets, FitConfig(l2_penalty=0.0))
+    assert np.all(np.isfinite(params.weight_matrix()))
+    probs = predict_proba(params, x[:, None])
+    assert np.all(probs[:60, 0] > 0.999) and np.all(probs[60:, 0] < 0.001)
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+def test_warm_start_at_the_optimum_stays_put(n_classes):
+    rng = np.random.default_rng(19)
+    feats = rng.standard_normal((120, 3))
+    targets = rng.random((120, n_classes)) + 0.1
+    targets /= targets.sum(axis=1, keepdims=True)
+    config = FitConfig(l2_penalty=0.0)
+    fitted = fit_soft(feats, targets, config)
+    again = fit_soft(feats, targets, config, init=fitted)
+    moved = np.max(np.abs(again.weight_matrix() - fitted.weight_matrix()))
+    assert moved < config.tolerance
+
+
+@pytest.mark.parametrize("n_classes", [3, 4])
+def test_newton_and_quasi_newton_reach_the_same_optimum(n_classes):
+    rng = np.random.default_rng(23)
+    aug, targets, weights = _soft_problem(rng, 150, 4, n_classes)
+    config = FitConfig()
+    w0 = np.zeros((n_classes - 1, 5))
+    newton = lambda w: _objective(w, aug, targets, weights, config.l2_penalty, hessian=True)
+    quasi = lambda w: _objective(w, aug, targets, weights, config.l2_penalty)
+    _, newton_trace = _newton(newton, w0, config)
+    _, quasi_trace = _maximize(quasi, w0, config)
+    assert abs(newton_trace[-1] - quasi_trace[-1]) <= 1e-6
+    assert len(newton_trace) < len(quasi_trace)
+
+
+def test_newton_stops_cleanly_where_the_hessian_underflows():
+    # At a score of 800, p1 p2 = exp(-800) underflows to 0, so the Hessian
+    # is exactly zero while the gradient is not: no finite Newton step
+    # exists. The solver stops there, with no numpy warning (an error under
+    # this suite's settings) and no NaN.
+    aug, targets = _augment(np.zeros((1, 0))), np.array([[0.5, 0.5]])
+    objective = lambda w: _objective(w, aug, targets, np.ones(1), 0.0, hessian=True)
+    assert np.all(objective(np.array([[800.0]]))[2] == 0.0)
+    w, trace = _newton(objective, np.array([[800.0]]), FitConfig(l2_penalty=0.0))
+    assert np.all(np.isfinite(w)) and np.all(np.diff(trace) >= 0.0)
