@@ -1,12 +1,12 @@
 """Per-layer benchmark of the dataset CSV reader and writer, the
-synthetic pair generator and the EM.
+synthetic pair generator, the source fits and the EM.
 
     python scripts/bench_layers.py [--src DIR] [--baseline DIR] [--n N ...] [--rounds R]
                                    [--ops OP ...] [--out FILE]
 
 Imports `cpsm` from `--src` (default: the src/ of this checkout). For both
 synthetic families and each n (default 2k, 20k and 100k) it times four
-ops, grouped as `--ops` names them (default: all three groups):
+ops, grouped as `--ops` names them (default: all four groups):
 
 - `csv`, two ops:
   - `read`: `cpsm.data.read_dataset_csv` on the labeled source file of a
@@ -14,6 +14,9 @@ ops, grouped as `--ops` names them (default: all three groups):
   - `write`: `cpsm.data.write_dataset_csv` of the same rows;
 - `generate`: `cpsm.synth.generate_pair` of a pair with n rows on each
   side (slope 5, prior 0.05, seed 1), its intercept calibration included;
+- `fit`: `cpsm.softmax.fit_hard` with the default `FitConfig` on the
+  source of the same pair, once on the `zx` block and once on `z`, each
+  its own case;
 - `em`: `cpsm.em.fit_cpsm` with a cap of EM_ROUNDS rounds on the same
   pair, from source models fitted (untimed) by `fit_hard` with the default
   `FitConfig`.
@@ -24,23 +27,25 @@ else `ru_maxrss`), so the memory is that of the one call plus the
 interpreter, numpy and, for a write, the arrays it writes. A generate call
 also reports a count that does not depend on the machine: how many times
 the intercept calibration evaluated its expectation, and over how many
-points in all. An em call reports the machine-independent counts of the EM
-next to its seconds: the EM rounds, the M-step fits, the objective
-evaluations (`softmax._objective` calls) and the solver iterations (the
-steps the M-step solver took). It counts them in a second, untimed run of
-the same fit, with the solver functions wrapped, and checks that the two
-runs agree bit for bit.
+points in all. A fit or an em call reports machine-independent counts next
+to its seconds: the objective evaluations (`softmax._objective` calls) and
+the solver iterations (the steps `softmax._newton` took), and for an em
+call also the EM rounds and the M-step fits. It counts them in a second,
+untimed run of the same fit, with those functions wrapped, and checks that
+the two runs agree bit for bit. A cpsm whose `fit_hard` runs another
+solver (the L-BFGS of older checkouts) reports its fit's solver iterations
+as null.
 
 With `--baseline DIR`, the `cpsm` under DIR (for example the src/ of a
 checkout of the parent commit) runs on the same files, alternating with
 `--src` in every round and going first in every other round, so that drift
 of the machine falls on both. Each side's arrays from a read must be
 bitwise equal, and each written file must equal the input file byte for
-byte; a mismatch fails the run. The generated pairs and the EM posteriors
-are compared, not required equal: a case records whether each side's
-source and target arrays equal those of the first side, and how far each
-side's EM posterior lies from the first side's, as the largest absolute
-difference.
+byte; a mismatch fails the run. The generated pairs, the fitted weights and
+the EM posteriors are compared, not required equal: a case records whether
+each side's source and target arrays equal those of the first side, and
+how far each side's weights or EM posterior lie from the first side's, as
+the largest absolute difference.
 
 The JSON result, with the machine it ran on, goes to standard output and,
 with `--out`, to a file.
@@ -61,7 +66,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("bernoulli_z", "gaussian_z")
 DEFAULT_N = (2_000, 20_000, 100_000)
-OPS = ("csv", "generate", "em")
+OPS = ("csv", "generate", "fit", "em")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MB = 2.0**20
 
@@ -69,13 +74,14 @@ MB = 2.0**20
 # workload: every side and seed runs the same number of rounds.
 EM_ROUNDS = 50
 
-# One timed call, run as `python -c _CALL op src arg1 arg2 [out rounds]`:
+# One timed call, run as `python -c _CALL op src arg1 arg2 [out extra]`:
 # for a read or a write, arg1 and arg2 are the CSV and NPZ paths, for a
-# generate or an em call the family and n. A read prints a digest of the
-# arrays it returns; a write writes to the CSV path the arrays stored in
-# the NPZ file; a generate prints a digest of each side of the pair; an em
-# call runs at most `rounds` EM rounds, saves its posterior to the .npy
-# path `out` and prints its counts.
+# generate, a fit or an em call the family and n. A read prints a digest of
+# the arrays it returns; a write writes to the CSV path the arrays stored in
+# the NPZ file; a generate prints a digest of each side of the pair; a fit
+# call fits the feature block `extra` of the source, an em call runs at
+# most `extra` EM rounds, and each saves its weights or posterior to the
+# .npy path `out` and prints its counts.
 _CALL = r"""
 import hashlib, json, resource, sys, time
 op, src, arg1, arg2, *extra = sys.argv[1:]
@@ -114,9 +120,9 @@ class CountingNumpy:
         CountingNumpy.points += np.size(a)
         return np.reciprocal(a, *args, **kwargs)
 
-def em_counts(fit_em):
-    # Wraps the objective and whichever solvers this cpsm has, where
-    # `fit_soft` looks them up, for one run of `fit_em`.
+def solver_counts(call):
+    # Wraps the objective and the Newton solver, where `fit_soft` looks
+    # them up, for one run of `call`.
     counts = {"objective_evaluations": 0, "solver_iterations": 0, "m_steps": 0}
 
     def objective(*args, **kwargs):
@@ -131,12 +137,11 @@ def em_counts(fit_em):
             return w, trace
         return run
 
-    original = {name: getattr(softmax, name)
-                for name in ("_objective", "_maximize", "_newton") if hasattr(softmax, name)}
+    original = {name: getattr(softmax, name) for name in ("_objective", "_newton")}
     for name in original:
         setattr(softmax, name, objective if name == "_objective" else solver(name))
     try:
-        return fit_em(), counts
+        return call(), counts
     finally:
         for name, fn in original.items():
             setattr(softmax, name, fn)
@@ -144,13 +149,16 @@ def em_counts(fit_em):
 if op == "write":
     with np.load(arg2) as arrays:
         z, x, y = arrays["z"], arrays["x"], arrays["y"]
-if op in ("generate", "em"):
+if op in ("generate", "fit", "em"):
     config = synth.SynthConfig(
         dataset_kind=arg1, n_source=int(arg2), n_target=int(arg2), shift_slope=5.0,
         target_prior=0.05, seed=1,
     )
 if op == "generate":
     synth.np = CountingNumpy()
+if op == "fit":
+    source, _ = synth.generate_pair(config)
+    fit_source = lambda: softmax.fit_hard(source, softmax.FitConfig(), extra[1])
 if op == "em":
     source, target = synth.generate_pair(config)
     fit_config = softmax.FitConfig()
@@ -167,6 +175,8 @@ elif op == "write":
     data.write_dataset_csv(arg1, z, x, y)
 elif op == "generate":
     source, target = synth.generate_pair(config)
+elif op == "fit":
+    params = fit_source()
 else:
     fit = fit_em()
 seconds = time.perf_counter() - start
@@ -178,8 +188,17 @@ if op == "generate":
     result["target_digest"] = digest(target.z, target.x, target.y)
     result["calibration_evaluations"] = CountingNumpy.evaluations
     result["calibration_points"] = CountingNumpy.points
+elif op == "fit":
+    counted, counts = solver_counts(fit_source)
+    weights = params.weight_matrix()
+    result["digest"] = digest(weights)
+    if digest(counted.weight_matrix()) != result["digest"]:
+        raise SystemExit("the counted fit differs from the timed one")
+    result["objective_evaluations"] = counts["objective_evaluations"]
+    result["solver_iterations"] = counts["solver_iterations"] if counts["m_steps"] else None
+    np.save(extra[0], weights)
 elif op == "em":
-    counted, counts = em_counts(fit_em)
+    counted, counts = solver_counts(fit_em)
     result["digest"] = digest(fit.target_posterior, fit.loglik_trace)
     if digest(counted.target_posterior, counted.loglik_trace) != result["digest"]:
         raise SystemExit("the counted EM run differs from the timed one")
@@ -311,6 +330,35 @@ def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     return case
 
 
+def fit_case(family: str, n: int, block: str, sides: dict, work: Path, rounds: int) -> dict:
+    """`fit_hard` timings and counts of each side on one block of a
+    generated source."""
+    import numpy as np
+
+    calls = {name: [] for name in sides}
+    names = list(sides)
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            out = work / f"{name}-{family}-{n}-{block}-weights.npy"
+            calls[name].append(_call("fit", sides[name], family, n, out, block))
+    first = np.load(work / f"{names[0]}-{family}-{n}-{block}-weights.npy")
+    case = {"op": "fit", "family": family, "n": n, "block": block}
+    for name in names:
+        if len({c["digest"] for c in calls[name]}) != 1:
+            raise SystemExit(f"bench_layers.py: {name} fitted different {family} n={n} {block}")
+        last = calls[name][-1]
+        weights = np.load(work / f"{name}-{family}-{n}-{block}-weights.npy")
+        case[name] = {
+            **_summary(calls[name]),
+            "solver_iterations": last["solver_iterations"],
+            "objective_evaluations": last["objective_evaluations"],
+            "max_abs_weight_diff_vs_first_side": float(np.max(np.abs(weights - first))),
+        }
+    if "baseline" in sides:
+        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
+    return case
+
+
 def em_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     """`fit_cpsm` timings and counts of each side on one generated pair."""
     import numpy as np
@@ -369,6 +417,9 @@ def main(argv=None) -> int:
                     cases.append(csv_case(family, n, sides, Path(tmp), args.rounds))
                 if "generate" in args.ops:
                     cases.append(generate_case(family, n, sides, args.rounds))
+                if "fit" in args.ops:
+                    for block in ("zx", "z"):
+                        cases.append(fit_case(family, n, block, sides, Path(tmp), args.rounds))
                 if "em" in args.ops:
                     cases.append(em_case(family, n, sides, Path(tmp), args.rounds))
     result = {

@@ -1,27 +1,22 @@
 """Multinomial logistic regression with hard- and soft-label targets.
 
 Class K is the implicit reference class: its intercept and slopes are fixed
-at zero, so a model over K classes stores K-1 parameter rows. Both solvers
-are deterministic full-batch ascent with a backtracking Armijo line search,
-so the objective trace is non-decreasing by construction and a warm start
-can only be improved:
-
-- `fit_soft`, the EM's M-step, runs Newton's method on the exact Hessian,
-  with its eigenvalues floored so that a separable direction gets a long but
-  finite step. It warm-starts near the optimum and takes a few steps.
-- `fit_hard`, the source and oracle fits, runs limited-memory quasi-Newton
-  from zero, which costs less per step on many rows.
+at zero, so a model over K classes stores K-1 parameter rows. Every fit is
+`fit_soft`: the source and oracle fits (`fit_hard`) pass one-hot targets,
+and the EM's M-step warm-starts near the optimum. Its one solver is
+deterministic full-batch Newton ascent on the exact Hessian, with the
+eigenvalues floored so that a separable direction gets a long but finite
+step, and a backtracking Armijo line search, so the objective trace is
+non-decreasing by construction and a warm start can only be improved.
 
 Solver contract: `_newton(objective, w0, config)` ascends a callable
-`w -> (value, gradient, Hessian)` and `_maximize(objective, w0, config)` a
-callable `w -> (value, gradient)`, both over the (K-1, 1+d) weight block.
-`_objective` is the one objective, shared by both solvers,
-`log_likelihood` and its gradient.
+`w -> (value, gradient, Hessian)` over the (K-1, 1+d) weight block.
+`_objective` is the one objective, shared by the solver, `log_likelihood`
+and its gradient.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +27,12 @@ from .errors import NumericalError, ValidationError, check_integers, check_reals
 
 PROB_EPS = 1e-12
 
-_LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
-_STEP_SIZE = 0.1
 _MAX_HALVINGS = 50
-_CURVATURE_EPS = 1e-10
 # Newton's floor on the eigenvalues of -H, relative to the largest.
 _EIG_FLOOR = 1e-10
+# Rows per block of a Hessian sum: bounds its temporaries on many rows.
+_GRAM_ROWS = 8192
 # How many of a source's missing labels the label-gap error names.
 _NAMED_LABELS = 5
 
@@ -144,10 +138,20 @@ def _augment(feats: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((feats.shape[0], 1)), feats])
 
 
-def _objective(w, aug, targets, weights, l2, hessian=False):
+def _gram(aug: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_i v_i a_i a_i^T over the rows a_i of `aug`, summed in blocks of
+    _GRAM_ROWS rows so that the weighted copy of `aug` stays small."""
+    out = np.zeros((aug.shape[1], aug.shape[1]))
+    for start in range(0, aug.shape[0], _GRAM_ROWS):
+        rows = slice(start, start + _GRAM_ROWS)
+        out += (aug[rows].T * v[rows]) @ aug[rows]
+    return out
+
+
+def _objective(w, aug, targets, weights, l2):
     """Weighted soft-target log-likelihood minus the ridge penalty on slopes,
-    and its gradient with respect to `w`: returns (value, gradient), or with
-    `hessian` (value, gradient, Hessian) from the same pass. The Hessian is
+    with its gradient and Hessian with respect to `w` from the same pass:
+    returns (value, gradient, Hessian). The Hessian is
     -sum_i weights_i (diag p_i - p_i p_i^T) kron a_i a_i^T, minus the ridge,
     over the flattened (K-1, 1+d) block, a_i the augmented row. The
     two-class case runs on flat score vectors, and its log-probabilities
@@ -160,49 +164,29 @@ def _objective(w, aug, targets, weights, l2, hessian=False):
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
         resid = (targets[:, 0] - np.exp(log_p1)) * weights
         g = (resid @ aug)[None, :].copy()
-        if hessian:
-            # p1 p2 from the logs keeps its precision where p1 is near 1.
-            h = -(aug.T * (weights * np.exp(log_p1 + log_p2))) @ aug
+        # p1 p2 from the logs keeps its precision where p1 is near 1.
+        h = -_gram(aug, weights * np.exp(log_p1 + log_p2))
     else:
         probs = _softmax(aug @ w.T)
         value = float(np.sum(weights[:, None] * targets * np.log(clamp_probs(probs))))
         resid = (targets[:, :-1] - probs[:, :-1]) * weights[:, None]
         g = resid.T @ aug
-        if hessian:
-            n, width = aug.shape
-            head = probs[:, :-1]
-            outer = (head[:, :, None] * aug[:, None, :]).reshape(n, -1)
-            h = (outer * weights[:, None]).T @ outer
-            for k in range(head.shape[1]):
-                block = slice(k * width, (k + 1) * width)
-                h[block, block] -= (aug.T * (weights * head[:, k])) @ aug
+        # Block (k, j) is -sum_i weights_i p_ik (delta_kj - p_ij) a_i a_i^T.
+        width = aug.shape[1]
+        h = np.empty((g.size, g.size))
+        for k in range(g.shape[0]):
+            wp = weights * probs[:, k]
+            for j in range(k, g.shape[0]):
+                block = -_gram(aug, wp * ((j == k) - probs[:, j]))
+                h[k * width:(k + 1) * width, j * width:(j + 1) * width] = block
+                h[j * width:(j + 1) * width, k * width:(k + 1) * width] = block.T
     if l2 > 0:
         value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
         g[:, 1:] -= l2 * w[:, 1:]
-        if hessian:
-            ridge = np.full(w.shape, l2)
-            ridge[:, 0] = 0.0
-            h[np.diag_indices_from(h)] -= ridge.ravel()
-    return (value, g, h) if hessian else (value, g)
-
-
-def _two_loop(g: np.ndarray, history: deque) -> np.ndarray:
-    """Inverse-curvature scaling of the gradient from the stored (step,
-    gradient difference, 1 / curvature) triples, oldest first; entries are
-    flat vectors and the initial scaling comes from the newest pair."""
-    s_last, y_last, _ = history[-1]
-    gamma = float((s_last @ y_last) / (y_last @ y_last))
-    q = g.ravel().copy()
-    alphas = []
-    for s, y, rho in reversed(history):
-        alpha = rho * float(s @ q)
-        q -= alpha * y
-        alphas.append(alpha)
-    q *= gamma
-    for (s, y, rho), alpha in zip(history, reversed(alphas)):
-        beta = rho * float(y @ q)
-        q += (alpha - beta) * s
-    return q.reshape(g.shape)
+        ridge = np.full(w.shape, l2)
+        ridge[:, 0] = 0.0
+        h[np.diag_indices_from(h)] -= ridge.ravel()
+    return value, g, h
 
 
 def _line_search(objective, w, obj, g, direction):
@@ -224,41 +208,6 @@ def _line_search(objective, w, obj, g, direction):
     return None
 
 
-def _maximize(objective, w0: np.ndarray, config: FitConfig):
-    """Monotone quasi-Newton ascent of `objective`, a callable w -> (value,
-    gradient); returns (weights, objective trace)."""
-    w = w0.copy()
-    obj, g = objective(w)
-    if not np.isfinite(obj):
-        raise NumericalError("non-finite objective at initialization")
-    trace = [obj]
-    history: deque = deque(maxlen=_LBFGS_MEMORY)
-    for _ in range(config.max_iters):
-        direction = _two_loop(g, history) if history else None
-        if direction is None or float(g.ravel() @ direction.ravel()) <= 0.0:
-            # First step, or stale curvature made the direction non-ascending:
-            # restart from the gradient scaled so its largest move is _STEP_SIZE.
-            history.clear()
-            direction = g * (_STEP_SIZE / max(float(np.max(np.abs(g))), 1e-30))
-        accepted = _line_search(objective, w, obj, g, direction)
-        if accepted is None:
-            trace.append(obj)
-            break
-        cand, (cand_obj, new_g) = accepted
-        s = (cand - w).ravel()
-        y = (g - new_g).ravel()
-        sy, y_norm = float(s @ y), float(np.linalg.norm(y))
-        # A pair whose y @ y underflowed to 0 cannot scale `_two_loop`.
-        if y_norm > 0.0 and sy > _CURVATURE_EPS * float(np.linalg.norm(s)) * y_norm:
-            history.append((s, y, 1.0 / sy))
-        delta = float(np.max(np.abs(s)))
-        w, obj, g = cand, cand_obj, new_g
-        trace.append(obj)
-        if delta < config.tolerance:
-            break
-    return w, trace
-
-
 def _newton_direction(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """Solve (-H) d = g for the (K-1, 1+d) step d, with the eigenvalues of -H
     floored at _EIG_FLOOR of the largest |eigenvalue|, so that a flat or
@@ -273,9 +222,9 @@ def _newton_direction(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
 
 def _newton(objective, w0: np.ndarray, config: FitConfig):
     """Monotone Newton ascent of a concave `objective`, a callable w ->
-    (value, gradient, Hessian), with the Armijo backtracking and the
-    max|step| < `tolerance` stop of `_maximize`; returns (weights,
-    objective trace)."""
+    (value, gradient, Hessian), by `_line_search` along the floored Newton
+    direction; it stops once the largest weight move is below `tolerance`,
+    or when no step ascends. Returns (weights, objective trace)."""
     w = w0.copy()
     obj, g, h = objective(w)
     if not np.isfinite(obj):
@@ -328,9 +277,7 @@ def fit_soft(
             )
         w0 = init.weight_matrix()
     aug = _augment(feats)
-    w, _ = _newton(
-        lambda w: _objective(w, aug, t, weights, config.l2_penalty, hessian=True), w0, config
-    )
+    w, _ = _newton(lambda w: _objective(w, aug, t, weights, config.l2_penalty), w0, config)
     return SoftmaxParams.from_weight_matrix(n_classes, w)
 
 
@@ -342,8 +289,8 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 
 def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx") -> SoftmaxParams:
-    """Maximum likelihood fit on hard labels over the selected feature block,
-    by the quasi-Newton `_maximize` from zero. Every label in 1..K, K the
+    """Maximum likelihood fit on hard labels over the selected feature block:
+    `fit_soft` on one-hot targets, from zero. Every label in 1..K, K the
     largest label, must have rows: a class with none would get an intercept
     that runs off towards minus infinity."""
     present = np.unique(data.y)
@@ -360,15 +307,7 @@ def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx")
             f"no rows have label {', '.join(map(str, named))}{more}: "
             f"labels must cover 1..{data.n_classes}"
         )
-    feats = data.features(feature_block)
-    targets = one_hot(data.y, data.n_classes)
-    aug, weights = _augment(feats), np.ones(feats.shape[0])
-    w, _ = _maximize(
-        lambda w: _objective(w, aug, targets, weights, config.l2_penalty),
-        np.zeros((data.n_classes - 1, aug.shape[1])),
-        config,
-    )
-    return SoftmaxParams.from_weight_matrix(data.n_classes, w)
+    return fit_soft(data.features(feature_block), one_hot(data.y, data.n_classes), config)
 
 
 def _unit_weight_problem(params: SoftmaxParams, features, targets):
