@@ -1,12 +1,13 @@
 """Per-layer benchmark of the dataset CSV reader and writer, the
-synthetic pair generator, the source fits and the EM.
+synthetic pair generator, the source fits, the EM and a benchmark grid.
 
     python scripts/bench_layers.py [--src DIR] [--baseline DIR] [--n N ...] [--rounds R]
                                    [--ops OP ...] [--out FILE]
 
 Imports `cpsm` from `--src` (default: the src/ of this checkout). For both
 synthetic families and each n (default 2k, 20k and 100k) it times four
-ops, grouped as `--ops` names them (default: all four groups):
+ops, and once a fifth, grouped as `--ops` names them (default: all five
+groups):
 
 - `csv`, two ops:
   - `read`: `cpsm.data.read_dataset_csv` on the labeled source file of a
@@ -19,7 +20,12 @@ ops, grouped as `--ops` names them (default: all four groups):
   its own case;
 - `em`: `cpsm.em.fit_cpsm` with a cap of EM_ROUNDS rounds on the same
   pair, from source models fitted (untimed) by `fit_hard` with the default
-  `FitConfig`.
+  `FitConfig`;
+- `grid`: `cpsm.bench.run_benchmark` on the shape of the end-to-end
+  benchmark's `grid-gaussian-2k` workload, whatever `--n`: `gaussian_z`
+  pairs of GRID_N rows, prior a in GRID_A, slope k in GRID_K, one seed
+  per cell, the four methods of GRID_METHODS and at most GRID_EM_ROUNDS
+  EM rounds, its generation, fits and metrics CSV included.
 
 Every timed call runs in a fresh Python process, one at a time, with one
 BLAS thread; it reports its own seconds and peak RSS (`VmHWM` on Linux,
@@ -30,22 +36,24 @@ the intercept calibration evaluated its expectation, and over how many
 points in all. A fit or an em call reports machine-independent counts next
 to its seconds: the objective evaluations (`softmax._objective` calls) and
 the solver iterations (the steps `softmax._newton` took), and for an em
-call also the EM rounds and the M-step fits. It counts them in a second,
-untimed run of the same fit, with those functions wrapped, and checks that
-the two runs agree bit for bit. A cpsm whose `fit_hard` runs another
-solver (the L-BFGS of older checkouts) reports its fit's solver iterations
-as null.
+call also the EM rounds and the M-step fits (`fit_soft` calls from `em`);
+a grid call reports the same counts over all of its fits. It counts them
+in a second, untimed run of the same call, with those functions wrapped,
+and checks that the two runs agree bit for bit. A cpsm whose `fit_hard`
+runs another solver (the L-BFGS of older checkouts) reports its fit's
+solver iterations as null.
 
 With `--baseline DIR`, the `cpsm` under DIR (for example the src/ of a
 checkout of the parent commit) runs on the same files, alternating with
 `--src` in every round and going first in every other round, so that drift
 of the machine falls on both. Each side's arrays from a read must be
 bitwise equal, and each written file must equal the input file byte for
-byte; a mismatch fails the run. The generated pairs, the fitted weights and
-the EM posteriors are compared, not required equal: a case records whether
-each side's source and target arrays equal those of the first side, and
-how far each side's weights or EM posterior lie from the first side's, as
-the largest absolute difference.
+byte; a mismatch fails the run. The generated pairs, the fitted weights,
+the EM posteriors and the grid's metrics are compared, not required equal:
+a case records whether each side's source and target arrays or metrics CSV
+equal those of the first side, and how far each side's weights, EM
+posterior or metrics lie from the first side's, as the largest absolute
+difference.
 
 The JSON result, with the machine it ran on, goes to standard output and,
 with `--out`, to a file.
@@ -53,6 +61,7 @@ with `--out`, to a file.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -66,7 +75,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("bernoulli_z", "gaussian_z")
 DEFAULT_N = (2_000, 20_000, 100_000)
-OPS = ("csv", "generate", "fit", "em")
+OPS = ("csv", "generate", "fit", "em", "grid")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 MB = 2.0**20
 
@@ -74,20 +83,30 @@ MB = 2.0**20
 # workload: every side and seed runs the same number of rounds.
 EM_ROUNDS = 50
 
+# The grid op's shape: that of the benchmark's grid-gaussian-2k workload.
+GRID_FAMILY = "gaussian_z"
+GRID_N = 2_000
+GRID_A = (0.05, 0.5)
+GRID_K = (0.0, 5.0)
+GRID_METHODS = ("naive", "mlls", "cpsm", "oracle")
+GRID_EM_ROUNDS = 40
+
 # One timed call, run as `python -c _CALL op src arg1 arg2 [out extra]`:
 # for a read or a write, arg1 and arg2 are the CSV and NPZ paths, for a
-# generate, a fit or an em call the family and n. A read prints a digest of
-# the arrays it returns; a write writes to the CSV path the arrays stored in
-# the NPZ file; a generate prints a digest of each side of the pair; a fit
-# call fits the feature block `extra` of the source, an em call runs at
-# most `extra` EM rounds, and each saves its weights or posterior to the
-# .npy path `out` and prints its counts.
+# generate, a fit, an em or a grid call the family and n. A read prints a
+# digest of the arrays it returns; a write writes to the CSV path the
+# arrays stored in the NPZ file; a generate prints a digest of each side of
+# the pair; a fit call fits the feature block `extra` of the source, an em
+# call runs at most `extra` EM rounds, and each saves its weights or
+# posterior to the .npy path `out` and prints its counts; a grid call runs
+# the grid, the JSON document `extra`, with its metrics CSV at `out`, and
+# prints its counts.
 _CALL = r"""
 import hashlib, json, resource, sys, time
 op, src, arg1, arg2, *extra = sys.argv[1:]
 sys.path.insert(0, src)
 import numpy as np
-from cpsm import data, em, softmax, synth
+from cpsm import bench, data, em, softmax, synth
 
 def peak_kb():
     # VmHWM is this process's own high-water mark. ru_maxrss would do
@@ -121,30 +140,36 @@ class CountingNumpy:
         return np.reciprocal(a, *args, **kwargs)
 
 def solver_counts(call):
-    # Wraps the objective and the Newton solver, where `fit_soft` looks
-    # them up, for one run of `call`.
-    counts = {"objective_evaluations": 0, "solver_iterations": 0, "m_steps": 0}
+    # Wraps the objective and the Newton solver, where `fit_soft` looks them
+    # up, and `fit_soft` where the EM's M-step looks it up, for one run of
+    # `call`.
+    counts = {"objective_evaluations": 0, "solver_iterations": 0, "solver_runs": 0,
+              "m_steps": 0}
 
     def objective(*args, **kwargs):
         counts["objective_evaluations"] += 1
         return original["_objective"](*args, **kwargs)
 
-    def solver(name):
-        def run(*args, **kwargs):
-            w, trace = original[name](*args, **kwargs)
-            counts["m_steps"] += 1
-            counts["solver_iterations"] += len(trace) - 1
-            return w, trace
-        return run
+    def solver(*args, **kwargs):
+        w, trace = original["_newton"](*args, **kwargs)
+        counts["solver_runs"] += 1
+        counts["solver_iterations"] += len(trace) - 1
+        return w, trace
 
-    original = {name: getattr(softmax, name) for name in ("_objective", "_newton")}
-    for name in original:
-        setattr(softmax, name, objective if name == "_objective" else solver(name))
+    def m_step(*args, **kwargs):
+        counts["m_steps"] += 1
+        return original["fit_soft"](*args, **kwargs)
+
+    wrapped = {(softmax, "_objective"): objective, (softmax, "_newton"): solver,
+               (em, "fit_soft"): m_step}
+    original = {name: getattr(module, name) for module, name in wrapped}
+    for (module, name), fn in wrapped.items():
+        setattr(module, name, fn)
     try:
         return call(), counts
     finally:
-        for name, fn in original.items():
-            setattr(softmax, name, fn)
+        for module, name in wrapped:
+            setattr(module, name, original[name])
 
 if op == "write":
     with np.load(arg2) as arrays:
@@ -167,6 +192,11 @@ if op == "em":
     )
     unlabeled = target.unlabeled()
     fit_em = lambda: em.fit_cpsm(models, unlabeled, em.EmConfig(max_em_iters=int(extra[1])))
+if op == "grid":
+    grid_doc = json.loads(extra[1])
+    def run_grid(path):
+        doc = dict(grid_doc, output_path=path)
+        return bench.run_benchmark(bench.experiment_config_from_dict(doc))
 before_kb = peak_kb()
 start = time.perf_counter()
 if op == "read":
@@ -177,8 +207,10 @@ elif op == "generate":
     source, target = synth.generate_pair(config)
 elif op == "fit":
     params = fit_source()
-else:
+elif op == "em":
     fit = fit_em()
+else:
+    run_grid(extra[0])
 seconds = time.perf_counter() - start
 peak_kb = peak_kb()
 result = {"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb,
@@ -195,7 +227,7 @@ elif op == "fit":
     if digest(counted.weight_matrix()) != result["digest"]:
         raise SystemExit("the counted fit differs from the timed one")
     result["objective_evaluations"] = counts["objective_evaluations"]
-    result["solver_iterations"] = counts["solver_iterations"] if counts["m_steps"] else None
+    result["solver_iterations"] = counts["solver_iterations"] if counts["solver_runs"] else None
     np.save(extra[0], weights)
 elif op == "em":
     counted, counts = solver_counts(fit_em)
@@ -205,6 +237,15 @@ elif op == "em":
     result.update(counts, em_rounds=fit.iterations_run,
                   final_surrogate=float(fit.loglik_trace[-1]))
     np.save(extra[0], fit.target_posterior)
+elif op == "grid":
+    with open(extra[0], "rb") as fh:
+        result["digest"] = hashlib.sha256(fh.read()).hexdigest()
+    counted_path = extra[0] + ".counted"
+    _, counts = solver_counts(lambda: run_grid(counted_path))
+    with open(counted_path, "rb") as fh:
+        if hashlib.sha256(fh.read()).hexdigest() != result["digest"]:
+            raise SystemExit("the counted grid run differs from the timed one")
+    result.update(counts)
 else:
     result["digest"] = digest(z, x, y)
 print(json.dumps(result))
@@ -389,6 +430,55 @@ def em_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     return case
 
 
+def _metric_columns(path: Path):
+    """The balanced_accuracy and approx_error columns of a metrics CSV."""
+    import numpy as np
+
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return np.array([[float(r[key]) for key in ("balanced_accuracy", "approx_error")]
+                     for r in rows])
+
+
+def grid_case(sides: dict, work: Path, rounds: int) -> dict:
+    """`run_benchmark` timings and counts of each side on the grid op's
+    shape."""
+    import numpy as np
+
+    doc = {
+        "generator": {"kind": "synthetic", "dataset_kind": GRID_FAMILY},
+        "methods": list(GRID_METHODS),
+        "grid": {"a": list(GRID_A), "k": list(GRID_K), "n": [GRID_N]},
+        "repetitions": 1,
+        "base_seed": 1,
+        "em": {"max_em_iters": GRID_EM_ROUNDS},
+    }
+    calls = {name: [] for name in sides}
+    names = list(sides)
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            out = work / f"{name}-grid-metrics.csv"
+            calls[name].append(_call("grid", sides[name], GRID_FAMILY, GRID_N, out, json.dumps(doc)))
+    first = calls[names[0]][0]["digest"]
+    first_metrics = _metric_columns(work / f"{names[0]}-grid-metrics.csv")
+    case = {"op": "grid", "family": GRID_FAMILY, "n": GRID_N, "a": list(GRID_A),
+            "k": list(GRID_K), "methods": list(GRID_METHODS), "max_em_iters": GRID_EM_ROUNDS}
+    for name in names:
+        if len({c["digest"] for c in calls[name]}) != 1:
+            raise SystemExit(f"bench_layers.py: {name} wrote different grid metrics")
+        last = calls[name][-1]
+        metrics = _metric_columns(work / f"{name}-grid-metrics.csv")
+        case[name] = {
+            **_summary(calls[name]),
+            **{key: last[key] for key in ("m_steps", "solver_iterations", "objective_evaluations")},
+            "metrics_csv_equals_first_side": last["digest"] == first,
+            "max_abs_metric_diff_vs_first_side": float(np.max(np.abs(metrics - first_metrics))),
+        }
+    if "baseline" in sides:
+        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
+    return case
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -422,6 +512,8 @@ def main(argv=None) -> int:
                         cases.append(fit_case(family, n, block, sides, Path(tmp), args.rounds))
                 if "em" in args.ops:
                     cases.append(em_case(family, n, sides, Path(tmp), args.rounds))
+        if "grid" in args.ops:
+            cases.append(grid_case(sides, Path(tmp), args.rounds))
     result = {
         "machine": machine(),
         "sides": {name: str(path) for name, path in sides.items()},

@@ -21,6 +21,19 @@ RATIO_MIN = 1e-12
 RATIO_MAX = 1e12
 
 
+def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """`ufunc` folded over the columns of an (n, K >= 2) array, left to
+    right: `fold_columns(np.add, a)` is the row sums. On a few columns this
+    is many times faster than an `axis=1` reduction, which loops over K
+    elements per row. The maximum is bitwise `a.max(axis=1)`; the sum is
+    bitwise `a.sum(axis=1)` for K <= 7, and a few ulps off it for K >= 8,
+    where numpy sums each row pairwise over 8 accumulators."""
+    out = ufunc(a[:, 0], a[:, 1])
+    for k in range(2, a.shape[1]):
+        ufunc(out, a[:, k], out=out)
+    return out
+
+
 def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
     """Validate an (n, K) row-stochastic probability matrix, with n equal to
     `n_rows` when given."""
@@ -31,7 +44,7 @@ def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -
         raise ValidationError(f"{name}: {p.shape[0]} rows, expected {n_rows}")
     if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
-    sums = p.sum(axis=1)
+    sums = fold_columns(np.add, p)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
     if bad.size:
         raise ValidationError(
@@ -55,8 +68,16 @@ def adjust_posterior(source_posterior, numerator, denominator) -> AdjustResult:
     into [RATIO_MIN, RATIO_MAX]. The returned `row_normalizer` is the
     reciprocal of the density ratio between source and target feature laws
     at each row; the sum of its logs is the marginal log-likelihood
-    surrogate that EM must not decrease.
+    surrogate that EM must not decrease. The checks run on every call;
+    `fit_cpsm` runs them once per fit and calls the kernel `_reweight` in
+    every round.
     """
+    return _reweight(*_check_adjust_inputs(source_posterior, numerator, denominator))
+
+
+def _check_adjust_inputs(source_posterior, numerator, denominator):
+    """`adjust_posterior`'s inputs as float arrays, checked: a row-stochastic
+    posterior, and finite, nonnegative ratio matrices of its shape."""
     p = check_posterior(source_posterior, "source_posterior")
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -68,9 +89,16 @@ def adjust_posterior(source_posterior, numerator, denominator) -> AdjustResult:
         raise ValidationError("ratio matrices must be finite")
     if np.any(num < 0) or np.any(den < 0):
         raise ValidationError("ratio matrices must be nonnegative")
+    return p, num, den
+
+
+def _reweight(p: np.ndarray, num: np.ndarray, den: np.ndarray) -> AdjustResult:
+    """`adjust_posterior` on checked inputs. A zero or non-finite row
+    normalizer raises NumericalError: it depends on the ratios, which change
+    every EM round."""
     r = np.clip(np.maximum(num, RATIO_MIN) / np.maximum(den, RATIO_MIN), RATIO_MIN, RATIO_MAX)
     weighted = p * r
-    norm = weighted.sum(axis=1)
+    norm = fold_columns(np.add, weighted)
     if np.any(norm <= 0.0) or not np.all(np.isfinite(norm)):
         bad = int(np.flatnonzero(~(norm > 0.0) | ~np.isfinite(norm))[0])
         raise NumericalError(

@@ -2,16 +2,19 @@
 unlabeled target rows, given source-fitted models.
 
 The E-step turns source posteriors into target responsibilities through the
-conditional-ratio reweighting: `adjust_posterior(p_xz, q_z, p_z)` on the
-clamped source posterior p(y | z, x), shifted conditional q(y | z; theta) and
-source conditional p(y | z) of every target row. The M-step refits the
-shifted conditional model on those responsibilities by `fit_soft`, whose
+conditional-ratio reweighting of `adjust_posterior(p_xz, q_z, p_z)` on the
+clamped source posterior p(y | z, x), shifted conditional q(y | z; theta)
+and source conditional p(y | z) of every target row. `fit_cpsm` checks those
+inputs once and runs the kernel `adjust._reweight` every round: p_xz and p_z
+are fixed, each q_z is a clamped `predict_proba` of their shape, and a zero
+or non-finite row normalizer still raises NumericalError. The M-step refits
+the shifted conditional model on those responsibilities by `fit_soft`, whose
 Newton steps on the exact Hessian converge in a few iterations from the
 previous round's warm start. It runs the fixed solver settings `M_STEP`,
 unpenalized, and its Armijo line search never lowers the M-step objective,
-so the marginal-likelihood surrogate can only go up. The prior-only correction
-(empty conditioning block) and the uncorrected baseline fall out as special
-cases.
+so the marginal-likelihood surrogate can only go up. The prior-only
+correction (empty conditioning block) and the uncorrected baseline fall out
+as special cases.
 
 The shifted model sees the conditioning block z only through its distinct
 rows. `fit_cpsm` groups the target's z rows into patterns once; each M-step
@@ -32,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import adjust_posterior
+from .adjust import _check_adjust_inputs, _reweight
 from .data import UnlabeledDataset, read_json_object
 from .errors import ValidationError, check_integers, check_reals, json_number
 from .softmax import (
@@ -173,6 +176,7 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
     # Iteration 0 scores the source conditional model, whose clamped
     # probabilities are p_z; only the later rounds need the z patterns.
     theta, q_z = source.conditional_model, p_z
+    p_xz, q_z, p_z = _check_adjust_inputs(p_xz, q_z, p_z)
     patterns = _distinct_rows(target.z) if config.max_em_iters > 0 else None
 
     trace: list[float] = []
@@ -180,7 +184,7 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
         if it > 0:
             theta = _fit_patterns(patterns, result.posterior, theta)
             q_z = clamp_probs(predict_proba(theta, patterns.rows))[patterns.inverse]
-        result = adjust_posterior(p_xz, q_z, p_z)
+        result = _reweight(p_xz, q_z, p_z)
         value = float(np.log(result.row_normalizer).sum())
         trace.append(value)
         if it > 0 and value - trace[-2] < config.em_tolerance:

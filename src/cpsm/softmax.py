@@ -11,8 +11,9 @@ non-decreasing by construction and a warm start can only be improved.
 
 Solver contract: `_newton(objective, w0, config)` ascends a callable
 `w -> (value, gradient, Hessian)` over the (K-1, 1+d) weight block.
-`_objective` is the one objective, shared by the solver, `log_likelihood`
-and its gradient.
+`_objective` is the one objective. Its value and gradient come from
+`_value_grad`, which `log_likelihood` and its gradient call alone, with no
+Hessian.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import check_posterior
+from .adjust import check_posterior, fold_columns
 from .data import LabeledDataset, as_float_matrix
 from .errors import NumericalError, ValidationError, check_integers, check_reals
 
@@ -117,13 +118,15 @@ def _check_features(features, n_features: int) -> np.ndarray:
 
 def _softmax(head: np.ndarray) -> np.ndarray:
     """Row-wise softmax of the scores [head | 0], max-shifted for stability;
-    `head` holds the (n, K-1) scores of the non-reference classes."""
+    `head` holds the (n, K-1) scores of the non-reference classes. The row
+    max and sum are folded column by column (`fold_columns`): bitwise the
+    `axis=1` reductions for K <= 7, within a few ulps for K >= 8."""
     scores = np.empty((head.shape[0], head.shape[1] + 1))
     scores[:, :-1] = head
     scores[:, -1] = 0.0
-    scores -= scores.max(axis=1, keepdims=True)
+    scores -= fold_columns(np.maximum, scores)[:, None]
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=1, keepdims=True)
+    scores /= fold_columns(np.add, scores)[:, None]
     return scores
 
 
@@ -148,31 +151,52 @@ def _gram(aug: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _objective(w, aug, targets, weights, l2):
+def _two_class_log_probs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log p1 = -log(1 + e^-s) and log p2 = -log(1 + e^s) of the two-class
+    scores s, unclamped, from one pass of soft = log1p(exp(-|s|)):
+    log p1 = -(max(-s, 0) + soft) and log p2 = -(max(s, 0) + soft). Each is
+    within 2 ulp of `-logaddexp`, with no overflow at any finite s."""
+    soft = np.log1p(np.exp(-np.abs(scores)))
+    return -(np.maximum(-scores, 0.0) + soft), -(np.maximum(scores, 0.0) + soft)
+
+
+def _value_grad(w, aug, targets, weights, l2):
     """Weighted soft-target log-likelihood minus the ridge penalty on slopes,
-    with its gradient and Hessian with respect to `w` from the same pass:
-    returns (value, gradient, Hessian). The Hessian is
-    -sum_i weights_i (diag p_i - p_i p_i^T) kron a_i a_i^T, minus the ridge,
-    over the flattened (K-1, 1+d) block, a_i the augmented row. The
-    two-class case runs on flat score vectors, and its log-probabilities
-    come from `logaddexp` unclamped: a clamped value would be flat where
-    the gradient is not."""
+    and its gradient with respect to `w`: returns (value, gradient,
+    row_terms), where `row_terms` is what the Hessian reuses. For two
+    classes it is log p1 + log p2 per row, and the case runs on flat score
+    vectors whose log-probabilities are left unclamped: a clamped value
+    would be flat where the gradient is not. For K > 2 it is the (n, K)
+    probabilities."""
     if targets.shape[1] == 2:
-        scores = aug @ w[0]
-        log_p1 = -np.logaddexp(0.0, -scores)
-        log_p2 = -np.logaddexp(0.0, scores)
+        log_p1, log_p2 = _two_class_log_probs(aug @ w[0])
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
         resid = (targets[:, 0] - np.exp(log_p1)) * weights
         g = (resid @ aug)[None, :].copy()
-        # p1 p2 from the logs keeps its precision where p1 is near 1.
-        h = -_gram(aug, weights * np.exp(log_p1 + log_p2))
+        row_terms = log_p1 + log_p2
     else:
-        probs = _softmax(aug @ w.T)
+        row_terms = probs = _softmax(aug @ w.T)
         value = float(np.sum(weights[:, None] * targets * np.log(clamp_probs(probs))))
         resid = (targets[:, :-1] - probs[:, :-1]) * weights[:, None]
         g = resid.T @ aug
+    if l2 > 0:
+        value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
+        g[:, 1:] -= l2 * w[:, 1:]
+    return value, g, row_terms
+
+
+def _objective(w, aug, targets, weights, l2):
+    """`_value_grad`'s value and gradient, with the Hessian with respect to
+    `w` from the same pass: returns (value, gradient, Hessian). The Hessian
+    is -sum_i weights_i (diag p_i - p_i p_i^T) kron a_i a_i^T, minus the
+    ridge, over the flattened (K-1, 1+d) block, a_i the augmented row."""
+    value, g, row_terms = _value_grad(w, aug, targets, weights, l2)
+    if targets.shape[1] == 2:
+        # p1 p2 from the logs keeps its precision where p1 is near 1.
+        h = -_gram(aug, weights * np.exp(row_terms))
+    else:
         # Block (k, j) is -sum_i weights_i p_ik (delta_kj - p_ij) a_i a_i^T.
-        width = aug.shape[1]
+        probs, width = row_terms, aug.shape[1]
         h = np.empty((g.size, g.size))
         for k in range(g.shape[0]):
             wp = weights * probs[:, k]
@@ -181,8 +205,6 @@ def _objective(w, aug, targets, weights, l2):
                 h[k * width:(k + 1) * width, j * width:(j + 1) * width] = block
                 h[j * width:(j + 1) * width, k * width:(k + 1) * width] = block.T
     if l2 > 0:
-        value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
-        g[:, 1:] -= l2 * w[:, 1:]
         ridge = np.full(w.shape, l2)
         ridge[:, 0] = 0.0
         h[np.diag_indices_from(h)] -= ridge.ravel()
@@ -325,11 +347,11 @@ def _unit_weight_problem(params: SoftmaxParams, features, targets):
 def log_likelihood(params: SoftmaxParams, features, targets) -> float:
     """Soft-target log-likelihood of the model on the given rows: the
     solver's objective with unit weights and no ridge."""
-    return _objective(*_unit_weight_problem(params, features, targets), 0.0)[0]
+    return _value_grad(*_unit_weight_problem(params, features, targets), 0.0)[0]
 
 
 def log_likelihood_grad(params: SoftmaxParams, features, targets) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of `log_likelihood` as (d_intercepts, d_slopes): the
     solver's gradient with unit weights and no ridge."""
-    g = _objective(*_unit_weight_problem(params, features, targets), 0.0)[1]
+    g = _value_grad(*_unit_weight_problem(params, features, targets), 0.0)[1]
     return g[:, 0], g[:, 1:]

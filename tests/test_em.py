@@ -6,6 +6,8 @@ import pytest
 
 from cpsm import (
     EmConfig,
+    LabeledDataset,
+    NumericalError,
     SoftmaxParams,
     SourceModels,
     SynthConfig,
@@ -20,6 +22,7 @@ from cpsm import (
     params_from_prior,
     params_to_dict,
 )
+from cpsm import em
 from cpsm.em import M_STEP, load_fit_json, save_fit_json
 from cpsm.softmax import FitConfig, clamp_probs, fit_hard, fit_soft, predict_proba
 
@@ -361,6 +364,71 @@ def test_grouped_em_is_bitwise_row_wise_em_when_every_z_row_is_distinct():
     assert np.array_equal(result.loglik_trace, trace)
     assert np.array_equal(result.target_posterior, posterior)
     assert np.array_equal(result.theta_hat.weight_matrix(), theta.weight_matrix())
+
+
+def _three_class_pair(discrete):
+    """Source models and a shifted target of a three-class Gaussian family,
+    with z rounded to {0, 1} when `discrete`."""
+    def draw(intercepts, seed):
+        gen = GaussianGenConfig(
+            mixing_matrix=np.array([[0.3, 0.1], [0.0, 0.2], [0.1, 0.0]]),
+            class_offsets=np.array([[1.5, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 0.0]]),
+            conditional_params=SoftmaxParams(3, 2, intercepts, [[1.0, -0.5], [0.2, 0.8]]),
+        )
+        data = generate_gaussian_family(gen, 1500, seed=seed)
+        z = (data.z > 0.0).astype(float) if discrete else data.z
+        return LabeledDataset(z=z, x=data.x, y=data.y)
+
+    source, target = draw([0.3, -0.2], 5), draw([-1.0, 0.8], 6)
+    fit = FitConfig()
+    models = SourceModels(fit_hard(source, fit, "zx"), fit_hard(source, fit, "z"))
+    return models, target.unlabeled()
+
+
+@pytest.mark.parametrize("case", ["bernoulli_z", "gaussian_z", "three-discrete", "three-continuous"])
+def test_e_step_checked_once_is_bitwise_the_checked_e_step_every_round(case, monkeypatch):
+    # `fit_cpsm` checks its E-step inputs once and runs the unchecked kernel
+    # every round; the same loop with the public, checked `adjust_posterior`
+    # in every round gives the same fit bit for bit, for discrete and
+    # continuous z and for two and three classes.
+    if case.startswith("three"):
+        models, target = _three_class_pair(case == "three-discrete")
+    else:
+        models, target = _shifted_pair(case, 1)
+    config = EmConfig(max_em_iters=30)
+    result = fit_cpsm(models, target, config)
+    checked = []
+
+    def every_round(p, num, den):
+        checked.append(True)
+        return adjust_posterior(p, num, den)
+
+    monkeypatch.setattr(em, "_reweight", every_round)
+    reference = fit_cpsm(models, target, config)
+    assert len(checked) == reference.iterations_run + 1 > 1
+    assert result.iterations_run == reference.iterations_run
+    assert np.array_equal(result.loglik_trace, reference.loglik_trace)
+    assert np.array_equal(result.target_posterior, reference.target_posterior)
+    assert np.array_equal(result.estimated_prior, reference.estimated_prior)
+    assert np.array_equal(result.theta_hat.weight_matrix(), reference.theta_hat.weight_matrix())
+
+
+def test_a_round_with_non_finite_ratios_raises_numerical_error(small_pair, small_models, monkeypatch):
+    # The E-step inputs are checked before the first round only; a later
+    # round whose q(y | z) is NaN still stops on its row normalizer.
+    _, target = small_pair
+    calls = []
+
+    def nan_from_the_first_round(params, features):
+        calls.append(params)
+        probs = predict_proba(params, features)
+        # _source_probs scores the two source models; round 1 scores theta.
+        return np.full_like(probs, np.nan) if len(calls) > 2 else probs
+
+    monkeypatch.setattr(em, "predict_proba", nan_from_the_first_round)
+    with pytest.raises(NumericalError, match="non-finite normalizer at row 0"):
+        fit_cpsm(small_models, target.unlabeled(), EmConfig(max_em_iters=5))
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

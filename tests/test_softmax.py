@@ -12,6 +12,9 @@ from cpsm.softmax import (
     _augment,
     _newton,
     _objective,
+    _softmax,
+    _two_class_log_probs,
+    _value_grad,
     fit_hard,
     fit_soft,
     log_likelihood,
@@ -480,3 +483,60 @@ def test_newton_stops_cleanly_where_the_hessian_underflows():
     assert np.all(objective(np.array([[800.0]]))[2] == 0.0)
     w, trace = _newton(objective, np.array([[800.0]]), FitConfig(l2_penalty=0.0))
     assert np.all(np.isfinite(w)) and np.all(np.diff(trace) >= 0.0)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_softmax_kernel_matches_the_axis_reductions(n_classes):
+    # The row max and sum are folded column by column. numpy's axis=1 sum
+    # is pairwise over 8 accumulators from K = 8 on, so only K <= 7 is
+    # bitwise; every K sums to 1 within a few ulps.
+    rng = np.random.default_rng(n_classes)
+    head = rng.standard_normal((500, n_classes - 1)) * 10.0 ** rng.uniform(-3, 2.5, (500, 1))
+    probs = _softmax(head)
+    scores = np.hstack([head, np.zeros((500, 1))])
+    scores = np.exp(scores - scores.max(axis=1, keepdims=True))
+    reference = scores / scores.sum(axis=1, keepdims=True)
+    if n_classes <= 7:
+        assert np.array_equal(probs, reference)
+    else:
+        assert np.max(np.abs(probs - reference)) <= 4 * np.finfo(float).eps
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-15
+
+
+def test_two_class_log_probs_match_logaddexp():
+    # One log1p(exp(-|s|)) pass gives both log-probabilities, within 2 ulp of
+    # the two logaddexp passes it replaced, with no overflow, invalid value
+    # or division by zero from the tiny to the far out scores.
+    mags = np.array([0.0, 1e-300, 1.0, 20.0, 37.0, 40.0, 709.0, 745.0, 800.0])
+    scores = np.concatenate([mags, -mags])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        log_p1, log_p2 = _two_class_log_probs(scores)
+        total = np.exp(log_p1) + np.exp(log_p2)
+    for got, want in ((log_p1, -np.logaddexp(0.0, -scores)), (log_p2, -np.logaddexp(0.0, scores))):
+        assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+    assert np.max(np.abs(total - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_log_likelihood_builds_no_hessian(n_classes, monkeypatch):
+    # `log_likelihood` and its gradient take `_objective`'s value and
+    # gradient, bit for bit, without its Hessian sums.
+    rng = np.random.default_rng(41 + n_classes)
+    n, d = 200, 4
+    feats = rng.standard_normal((n, d))
+    targets = rng.random((n, n_classes)) + 0.05
+    targets /= targets.sum(axis=1, keepdims=True)
+    params = SoftmaxParams.from_weight_matrix(n_classes, rng.standard_normal((n_classes - 1, 1 + d)))
+    w, aug, weights = params.weight_matrix(), _augment(feats), rng.random(n) + 0.1
+    full = _objective(w, aug, targets, np.ones(n), 0.0)
+    ridged = _objective(w, aug, targets, weights, 1e-3)
+
+    def no_gram(*args):
+        raise AssertionError("the Hessian was built")
+
+    monkeypatch.setattr(softmax, "_gram", no_gram)
+    assert log_likelihood(params, feats, targets) == full[0]
+    gi, gs = log_likelihood_grad(params, feats, targets)
+    assert np.array_equal(np.hstack([gi[:, None], gs]), full[1])
+    value, grad, _ = _value_grad(w, aug, targets, weights, 1e-3)
+    assert value == ridged[0] and np.array_equal(grad, ridged[1])
