@@ -28,20 +28,18 @@ groups):
   EM rounds, its generation, fits and metrics CSV included.
 
 Every timed call runs in a fresh Python process, one at a time, with one
-BLAS thread; it reports its own seconds and peak RSS (`VmHWM` on Linux,
-else `ru_maxrss`), so the memory is that of the one call plus the
-interpreter, numpy and, for a write, the arrays it writes. A generate call
-also reports a count that does not depend on the machine: how many times
-the intercept calibration evaluated its expectation, and over how many
-points in all. A fit or an em call reports machine-independent counts next
-to its seconds: the objective evaluations (`softmax._objective` calls) and
-the solver iterations (the steps `softmax._newton` took), and for an em
-call also the EM rounds and the M-step fits (`fit_soft` calls from `em`);
-a grid call reports the same counts over all of its fits. It counts them
-in a second, untimed run of the same call, with those functions wrapped,
-and checks that the two runs agree bit for bit. A cpsm whose `fit_hard`
-runs another solver (the L-BFGS of older checkouts) reports its fit's
-solver iterations as null.
+BLAS thread, and with nothing in `cpsm` patched; it reports its own seconds
+and peak RSS (`VmHWM` on Linux, else `ru_maxrss`), so the memory is that of
+the one call plus the interpreter, numpy and, for a write, the arrays it
+writes. Every op but a read or a write also reports counts that do not
+depend on the machine: a generate call, how many times the intercept
+calibration evaluated its expectation, and over how many points in all; a
+fit or an em call, the objective evaluations (`softmax._objective` calls)
+and the solver iterations (the steps `softmax._newton` took), and for an
+em call also the EM rounds and the M-step fits (`fit_soft` calls from
+`em`); a grid call, the same counts over all of its fits. The counts come
+from a second, untimed run of the same call in the same process, with
+those functions wrapped, which must agree with the timed run bit for bit.
 
 With `--baseline DIR`, the `cpsm` under DIR (for example the src/ of a
 checkout of the parent commit) runs on the same files, alternating with
@@ -61,7 +59,6 @@ with `--out`, to a file.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -71,6 +68,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = ("bernoulli_z", "gaussian_z")
@@ -91,22 +90,20 @@ GRID_K = (0.0, 5.0)
 GRID_METHODS = ("naive", "mlls", "cpsm", "oracle")
 GRID_EM_ROUNDS = 40
 
-# One timed call, run as `python -c _CALL op src arg1 arg2 [out extra]`:
-# for a read or a write, arg1 and arg2 are the CSV and NPZ paths, for a
-# generate, a fit, an em or a grid call the family and n. A read prints a
-# digest of the arrays it returns; a write writes to the CSV path the
-# arrays stored in the NPZ file; a generate prints a digest of each side of
-# the pair; a fit call fits the feature block `extra` of the source, an em
-# call runs at most `extra` EM rounds, and each saves its weights or
-# posterior to the .npy path `out` and prints its counts; a grid call runs
-# the grid, the JSON document `extra`, with its metrics CSV at `out`, and
-# prints its counts.
+# One timed call, run as `python -c _CALL SPEC`, SPEC a JSON object with
+# the op, the src/ to import cpsm from and the op's named arguments. Each op
+# sets up its call untimed and returns it with its report, a function of
+# the call's value that returns the value's digests and fields (an op with
+# an `out` argument also saves there the array the first-side comparison
+# reads), and with the counters to install for the counted run, if any.
 _CALL = r"""
 import hashlib, json, resource, sys, time
-op, src, arg1, arg2, *extra = sys.argv[1:]
-sys.path.insert(0, src)
+spec = json.loads(sys.argv[1])
+sys.path.insert(0, spec["src"])
 import numpy as np
 from cpsm import bench, data, em, softmax, synth
+
+counts = {}
 
 def peak_kb():
     # VmHWM is this process's own high-water mark. ru_maxrss would do
@@ -124,137 +121,119 @@ def digest(*arrays):
         h.update(np.ascontiguousarray(a).tobytes())
     return h.hexdigest()
 
+def pair_config(family, n):
+    return synth.SynthConfig(dataset_kind=family, n_source=n, n_target=n, shift_slope=5.0,
+                             target_prior=0.05, seed=1)
+
 class CountingNumpy:
     # Each evaluation of the intercept calibration's expectation ends in one
     # np.reciprocal over all of its points, and nothing else in
-    # synth.generate_pair calls it. The count costs a Python call per
-    # evaluation, a few dozen per pair.
-    evaluations = points = 0
-
+    # synth.generate_pair calls it.
     def __getattr__(self, name):
         return getattr(np, name)
 
     def reciprocal(self, a, *args, **kwargs):
-        CountingNumpy.evaluations += 1
-        CountingNumpy.points += np.size(a)
+        counts["calibration_evaluations"] += 1
+        counts["calibration_points"] += np.size(a)
         return np.reciprocal(a, *args, **kwargs)
 
-def solver_counts(call):
-    # Wraps the objective and the Newton solver, where `fit_soft` looks them
-    # up, and `fit_soft` where the EM's M-step looks it up, for one run of
-    # `call`.
-    counts = {"objective_evaluations": 0, "solver_iterations": 0, "solver_runs": 0,
-              "m_steps": 0}
+def counting(module, name, key, step=lambda result: 1):
+    # module.name wrapped to add step(its result) to counts[key] at each call.
+    fn = getattr(module, name)
+    counts[key] = 0
 
-    def objective(*args, **kwargs):
-        counts["objective_evaluations"] += 1
-        return original["_objective"](*args, **kwargs)
+    def wrapper(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        counts[key] += step(result)
+        return result
+    return {(module, name): wrapper}
 
-    def solver(*args, **kwargs):
-        w, trace = original["_newton"](*args, **kwargs)
-        counts["solver_runs"] += 1
-        counts["solver_iterations"] += len(trace) - 1
-        return w, trace
+def solver_counters():
+    # The objective and the Newton solver where `fit_soft` and `fit_hard`
+    # look them up, and `fit_soft` where the EM's M-step looks it up.
+    return {**counting(softmax, "_objective", "objective_evaluations"),
+            **counting(softmax, "_newton", "solver_iterations", lambda wt: len(wt[1]) - 1),
+            **counting(em, "fit_soft", "m_steps")}
 
-    def m_step(*args, **kwargs):
-        counts["m_steps"] += 1
-        return original["fit_soft"](*args, **kwargs)
+def read_call(path):
+    return lambda: data.read_dataset_csv(path), lambda zxy: {"digest": digest(*zxy)}, {}
 
-    wrapped = {(softmax, "_objective"): objective, (softmax, "_newton"): solver,
-               (em, "fit_soft"): m_step}
-    original = {name: getattr(module, name) for module, name in wrapped}
-    for (module, name), fn in wrapped.items():
-        setattr(module, name, fn)
-    try:
-        return call(), counts
-    finally:
-        for module, name in wrapped:
-            setattr(module, name, original[name])
+def write_call(path, arrays):
+    with np.load(arrays) as npz:
+        z, x, y = npz["z"], npz["x"], npz["y"]
+    return lambda: data.write_dataset_csv(path, z, x, y), lambda _: {}, {}
 
-if op == "write":
-    with np.load(arg2) as arrays:
-        z, x, y = arrays["z"], arrays["x"], arrays["y"]
-if op in ("generate", "fit", "em"):
-    config = synth.SynthConfig(
-        dataset_kind=arg1, n_source=int(arg2), n_target=int(arg2), shift_slope=5.0,
-        target_prior=0.05, seed=1,
-    )
-if op == "generate":
-    synth.np = CountingNumpy()
-if op == "fit":
-    source, _ = synth.generate_pair(config)
-    fit_source = lambda: softmax.fit_hard(source, softmax.FitConfig(), extra[1])
-if op == "em":
-    source, target = synth.generate_pair(config)
+def generate_call(family, n):
+    config = pair_config(family, n)
+    counts.update(calibration_evaluations=0, calibration_points=0)
+    return (lambda: synth.generate_pair(config),
+            lambda pair: {f"{side}_digest": digest(rows.z, rows.x, rows.y)
+                          for side, rows in zip(("source", "target"), pair)},
+            {(synth, "np"): CountingNumpy()})
+
+def fit_call(family, n, block, out):
+    source, _ = synth.generate_pair(pair_config(family, n))
+
+    def report(params):
+        weights = params.weight_matrix()
+        np.save(out, weights)
+        return {"digest": digest(weights)}
+    return lambda: softmax.fit_hard(source, softmax.FitConfig(), block), report, solver_counters()
+
+def em_call(family, n, max_em_iters, out):
+    source, target = synth.generate_pair(pair_config(family, n))
     fit_config = softmax.FitConfig()
     models = em.SourceModels(
         softmax.fit_hard(source, fit_config, "zx"), softmax.fit_hard(source, fit_config, "z")
     )
     unlabeled = target.unlabeled()
-    fit_em = lambda: em.fit_cpsm(models, unlabeled, em.EmConfig(max_em_iters=int(extra[1])))
-if op == "grid":
-    grid_doc = json.loads(extra[1])
-    def run_grid(path):
-        doc = dict(grid_doc, output_path=path)
-        return bench.run_benchmark(bench.experiment_config_from_dict(doc))
+
+    def report(fit):
+        np.save(out, fit.target_posterior)
+        return {"digest": digest(fit.target_posterior, fit.loglik_trace),
+                "em_rounds": fit.iterations_run, "final_surrogate": float(fit.loglik_trace[-1])}
+    return (lambda: em.fit_cpsm(models, unlabeled, em.EmConfig(max_em_iters=max_em_iters)),
+            report, solver_counters())
+
+def grid_call(family, n, a, k, methods, max_em_iters, out):
+    doc = {
+        "generator": {"kind": "synthetic", "dataset_kind": family}, "methods": methods,
+        "grid": {"a": a, "k": k, "n": [n]}, "repetitions": 1, "base_seed": 1,
+        "em": {"max_em_iters": max_em_iters}, "output_path": out + ".csv",
+    }
+
+    def report(rows):
+        np.save(out, [[r.balanced_accuracy, r.approx_error] for r in rows])
+        with open(out + ".csv", "rb") as fh:
+            return {"digest": hashlib.sha256(fh.read()).hexdigest()}
+    return (lambda: bench.run_benchmark(bench.experiment_config_from_dict(doc)), report,
+            solver_counters())
+
+call, report, counters = globals()[spec["op"] + "_call"](**spec["args"])
 before_kb = peak_kb()
 start = time.perf_counter()
-if op == "read":
-    z, x, y = data.read_dataset_csv(arg1)
-elif op == "write":
-    data.write_dataset_csv(arg1, z, x, y)
-elif op == "generate":
-    source, target = synth.generate_pair(config)
-elif op == "fit":
-    params = fit_source()
-elif op == "em":
-    fit = fit_em()
-else:
-    run_grid(extra[0])
+value = call()
 seconds = time.perf_counter() - start
-peak_kb = peak_kb()
-result = {"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb,
-          "module": data.__file__}
-if op == "generate":
-    result["source_digest"] = digest(source.z, source.x, source.y)
-    result["target_digest"] = digest(target.z, target.x, target.y)
-    result["calibration_evaluations"] = CountingNumpy.evaluations
-    result["calibration_points"] = CountingNumpy.points
-elif op == "fit":
-    counted, counts = solver_counts(fit_source)
-    weights = params.weight_matrix()
-    result["digest"] = digest(weights)
-    if digest(counted.weight_matrix()) != result["digest"]:
-        raise SystemExit("the counted fit differs from the timed one")
-    result["objective_evaluations"] = counts["objective_evaluations"]
-    result["solver_iterations"] = counts["solver_iterations"] if counts["solver_runs"] else None
-    np.save(extra[0], weights)
-elif op == "em":
-    counted, counts = solver_counts(fit_em)
-    result["digest"] = digest(fit.target_posterior, fit.loglik_trace)
-    if digest(counted.target_posterior, counted.loglik_trace) != result["digest"]:
-        raise SystemExit("the counted EM run differs from the timed one")
-    result.update(counts, em_rounds=fit.iterations_run,
-                  final_surrogate=float(fit.loglik_trace[-1]))
-    np.save(extra[0], fit.target_posterior)
-elif op == "grid":
-    with open(extra[0], "rb") as fh:
-        result["digest"] = hashlib.sha256(fh.read()).hexdigest()
-    counted_path = extra[0] + ".counted"
-    _, counts = solver_counts(lambda: run_grid(counted_path))
-    with open(counted_path, "rb") as fh:
-        if hashlib.sha256(fh.read()).hexdigest() != result["digest"]:
-            raise SystemExit("the counted grid run differs from the timed one")
-    result.update(counts)
-else:
-    result["digest"] = digest(z, x, y)
-print(json.dumps(result))
+result = {"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb(),
+          "module": data.__file__, **report(value)}
+if counters:
+    # The counted run: untimed, with the counters installed. Its report
+    # (which saves the same array again) must equal the timed run's.
+    original = {key: getattr(*key) for key in counters}
+    for (module, name), fn in counters.items():
+        setattr(module, name, fn)
+    try:
+        counted = report(call())
+    finally:
+        for (module, name), fn in original.items():
+            setattr(module, name, fn)
+    if any(counted[key] != result[key] for key in counted):
+        raise SystemExit(f"the counted {spec['op']} run differs from the timed one")
+print(json.dumps({**result, **counts}))
 """
 
 
 def machine() -> dict:
-    import numpy as np
-
     cpu_model = platform.processor() or "unknown"
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -278,11 +257,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _call(op: str, src: Path, *args) -> dict:
+def _call(op: str, src: Path, args: dict) -> dict:
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    spec = json.dumps({"op": op, "src": str(src), "args": args})
     done = subprocess.run(
-        [sys.executable, "-c", _CALL, op, str(src), *map(str, args)],
-        env=env, capture_output=True, text=True, check=False,
+        [sys.executable, "-c", _CALL, spec], env=env, capture_output=True, text=True, check=False,
     )
     if done.returncode != 0:
         raise SystemExit(f"bench_layers.py: {op} with {src} failed:\n{done.stderr}")
@@ -290,6 +269,18 @@ def _call(op: str, src: Path, *args) -> dict:
     if Path(result["module"]).resolve().parent.parent != src.resolve():
         raise SystemExit(f"bench_layers.py: imported {result['module']}, expected it under {src}")
     return result
+
+
+def _alternate(sides: dict, rounds: int, run) -> dict:
+    """The values of `run(name)` for each side name, `rounds` times, with
+    the sides going first in turn, so that drift of the machine falls on
+    all of them."""
+    names = list(sides)
+    values = {name: [] for name in names}
+    for r in range(rounds):
+        for name in names if r % 2 == 0 else names[::-1]:
+            values[name].append(run(name))
+    return values
 
 
 def _summary(calls: list[dict], size_mb: float | None = None) -> dict:
@@ -307,35 +298,52 @@ def _summary(calls: list[dict], size_mb: float | None = None) -> dict:
     return summary
 
 
-def generate_case(family: str, n: int, sides: dict, rounds: int) -> dict:
-    """`generate_pair` timings and calibration counts of each side."""
-    calls = {name: [] for name in sides}
+def _case(op: str, args: dict, sides: dict, rounds: int, changed: str, fields: tuple,
+          equal: tuple = (), diff: str | None = None, work: Path | None = None) -> dict:
+    """The case of `op` on `args`, timed on every side. A side whose digests
+    change between rounds fails the run with "{side} {changed}". Each side
+    gets the summary of its calls, `fields` of its last call, for each
+    (key, digest) of `equal` whether its digest equals the first side's,
+    and with `diff`, how far the array its last call saved under `work`
+    lies from the first side's."""
+    out = {name: work / f"{name}-{op}" for name in sides} if diff else {}
+    calls = _alternate(sides, rounds, lambda name: _call(
+        op, sides[name], dict(args, out=str(out[name])) if diff else args
+    ))
     names = list(sides)
-    for r in range(rounds):
-        for name in names if r % 2 == 0 else names[::-1]:
-            calls[name].append(_call("generate", sides[name], family, n))
-    case = {"op": "generate", "family": family, "n": n}
     first = calls[names[0]][0]
+    case = {"op": op, **args}
     for name in names:
-        for key in ("source_digest", "target_digest"):
-            if len({c[key] for c in calls[name]}) != 1:
-                raise SystemExit(f"bench_layers.py: {name} generated different {family} n={n} pairs")
+        digests = {tuple(v for k, v in c.items() if k.endswith("digest")) for c in calls[name]}
+        if len(digests) != 1:
+            raise SystemExit(f"bench_layers.py: {name} {changed}")
         last = calls[name][-1]
-        case[name] = {
-            **_summary(calls[name]),
-            "calibration_evaluations": last["calibration_evaluations"],
-            "calibration_points": last["calibration_points"],
-            "source_equals_first_side": last["source_digest"] == first["source_digest"],
-            "target_equals_first_side": last["target_digest"] == first["target_digest"],
-        }
+        case[name] = {**_summary(calls[name]), **{key: last[key] for key in fields}}
+        for key, digest in equal:
+            case[name][key] = last[digest] == first[digest]
+        if diff:
+            arrays = [np.load(f"{out[side]}.npy") for side in (names[0], name)]
+            case[name][f"max_abs_{diff}_diff_vs_first_side"] = float(
+                np.max(np.abs(arrays[1] - arrays[0]))
+            )
     if "baseline" in sides:
         case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
     return case
 
 
+def generate_case(family: str, n: int, sides: dict, rounds: int) -> dict:
+    """`generate_pair` timings and calibration counts of each side."""
+    return _case(
+        "generate", {"family": family, "n": n}, sides, rounds,
+        f"generated different {family} n={n} pairs",
+        ("calibration_evaluations", "calibration_points"),
+        equal=(("source_equals_first_side", "source_digest"),
+               ("target_equals_first_side", "target_digest")),
+    )
+
+
 def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     """Read and write timings of each side on one generated file."""
-    import numpy as np
     from cpsm.data import write_dataset_csv
     from cpsm.synth import SynthConfig, generate_pair
 
@@ -348,22 +356,23 @@ def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     np.savez(npz_path, z=source.z, x=source.x, y=source.y)
     size_mb = csv_path.stat().st_size / MB
     want = _sha256(csv_path)
-    calls = {name: {"read": [], "write": []} for name in sides}
-    names = list(sides)
-    for r in range(rounds):
-        for name in names if r % 2 == 0 else names[::-1]:
-            calls[name]["read"].append(_call("read", sides[name], csv_path, npz_path))
-            out = work / f"{name}-written.csv"
-            calls[name]["write"].append(_call("write", sides[name], out, npz_path))
-            if _sha256(out) != want:
-                raise SystemExit(f"bench_layers.py: {name} wrote other bytes for {family} n={n}")
-    digests = {c["digest"] for side in calls.values() for c in side["read"]}
-    if len(digests) != 1:
+
+    def read_then_write(name: str) -> dict:
+        read = _call("read", sides[name], {"path": str(csv_path)})
+        out = work / f"{name}-written.csv"
+        write = _call("write", sides[name], {"path": str(out), "arrays": str(npz_path)})
+        if _sha256(out) != want:
+            raise SystemExit(f"bench_layers.py: {name} wrote other bytes for {family} n={n}")
+        return {"read": read, "write": write}
+
+    calls = _alternate(sides, rounds, read_then_write)
+    if len({c["read"]["digest"] for side in calls.values() for c in side}) != 1:
         raise SystemExit(f"bench_layers.py: reads of {family} n={n} returned different arrays")
     case = {"op": "read/write", "family": family, "n": n, "file_mb": round(size_mb, 2),
             "file_sha256": want}
-    for name in names:
-        case[name] = {op: _summary(calls[name][op], size_mb) for op in ("read", "write")}
+    for name in sides:
+        case[name] = {op: _summary([c[op] for c in calls[name]], size_mb)
+                      for op in ("read", "write")}
     if "baseline" in sides:
         case["read_speedup"] = round(
             case["baseline"]["read"]["median_s"] / case["src"]["read"]["median_s"], 2
@@ -374,109 +383,33 @@ def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
 def fit_case(family: str, n: int, block: str, sides: dict, work: Path, rounds: int) -> dict:
     """`fit_hard` timings and counts of each side on one block of a
     generated source."""
-    import numpy as np
-
-    calls = {name: [] for name in sides}
-    names = list(sides)
-    for r in range(rounds):
-        for name in names if r % 2 == 0 else names[::-1]:
-            out = work / f"{name}-{family}-{n}-{block}-weights.npy"
-            calls[name].append(_call("fit", sides[name], family, n, out, block))
-    first = np.load(work / f"{names[0]}-{family}-{n}-{block}-weights.npy")
-    case = {"op": "fit", "family": family, "n": n, "block": block}
-    for name in names:
-        if len({c["digest"] for c in calls[name]}) != 1:
-            raise SystemExit(f"bench_layers.py: {name} fitted different {family} n={n} {block}")
-        last = calls[name][-1]
-        weights = np.load(work / f"{name}-{family}-{n}-{block}-weights.npy")
-        case[name] = {
-            **_summary(calls[name]),
-            "solver_iterations": last["solver_iterations"],
-            "objective_evaluations": last["objective_evaluations"],
-            "max_abs_weight_diff_vs_first_side": float(np.max(np.abs(weights - first))),
-        }
-    if "baseline" in sides:
-        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
-    return case
+    return _case(
+        "fit", {"family": family, "n": n, "block": block}, sides, rounds,
+        f"fitted different {family} n={n} {block}",
+        ("solver_iterations", "objective_evaluations"), diff="weight", work=work,
+    )
 
 
 def em_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     """`fit_cpsm` timings and counts of each side on one generated pair."""
-    import numpy as np
-
-    calls = {name: [] for name in sides}
-    names = list(sides)
-    for r in range(rounds):
-        for name in names if r % 2 == 0 else names[::-1]:
-            out = work / f"{name}-{family}-{n}-posterior.npy"
-            calls[name].append(_call("em", sides[name], family, n, out, EM_ROUNDS))
-    first = np.load(work / f"{names[0]}-{family}-{n}-posterior.npy")
-    case = {"op": "em", "family": family, "n": n, "max_em_iters": EM_ROUNDS}
-    for name in names:
-        if len({c["digest"] for c in calls[name]}) != 1:
-            raise SystemExit(f"bench_layers.py: {name} fitted different {family} n={n} EMs")
-        last = calls[name][-1]
-        posterior = np.load(work / f"{name}-{family}-{n}-posterior.npy")
-        case[name] = {
-            **_summary(calls[name]),
-            **{key: last[key] for key in (
-                "em_rounds", "m_steps", "solver_iterations", "objective_evaluations",
-                "final_surrogate",
-            )},
-            "max_abs_posterior_diff_vs_first_side": float(np.max(np.abs(posterior - first))),
-        }
-    if "baseline" in sides:
-        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
-    return case
-
-
-def _metric_columns(path: Path):
-    """The balanced_accuracy and approx_error columns of a metrics CSV."""
-    import numpy as np
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return np.array([[float(r[key]) for key in ("balanced_accuracy", "approx_error")]
-                     for r in rows])
+    return _case(
+        "em", {"family": family, "n": n, "max_em_iters": EM_ROUNDS}, sides, rounds,
+        f"fitted different {family} n={n} EMs",
+        ("em_rounds", "m_steps", "solver_iterations", "objective_evaluations", "final_surrogate"),
+        diff="posterior", work=work,
+    )
 
 
 def grid_case(sides: dict, work: Path, rounds: int) -> dict:
     """`run_benchmark` timings and counts of each side on the grid op's
     shape."""
-    import numpy as np
-
-    doc = {
-        "generator": {"kind": "synthetic", "dataset_kind": GRID_FAMILY},
-        "methods": list(GRID_METHODS),
-        "grid": {"a": list(GRID_A), "k": list(GRID_K), "n": [GRID_N]},
-        "repetitions": 1,
-        "base_seed": 1,
-        "em": {"max_em_iters": GRID_EM_ROUNDS},
-    }
-    calls = {name: [] for name in sides}
-    names = list(sides)
-    for r in range(rounds):
-        for name in names if r % 2 == 0 else names[::-1]:
-            out = work / f"{name}-grid-metrics.csv"
-            calls[name].append(_call("grid", sides[name], GRID_FAMILY, GRID_N, out, json.dumps(doc)))
-    first = calls[names[0]][0]["digest"]
-    first_metrics = _metric_columns(work / f"{names[0]}-grid-metrics.csv")
-    case = {"op": "grid", "family": GRID_FAMILY, "n": GRID_N, "a": list(GRID_A),
-            "k": list(GRID_K), "methods": list(GRID_METHODS), "max_em_iters": GRID_EM_ROUNDS}
-    for name in names:
-        if len({c["digest"] for c in calls[name]}) != 1:
-            raise SystemExit(f"bench_layers.py: {name} wrote different grid metrics")
-        last = calls[name][-1]
-        metrics = _metric_columns(work / f"{name}-grid-metrics.csv")
-        case[name] = {
-            **_summary(calls[name]),
-            **{key: last[key] for key in ("m_steps", "solver_iterations", "objective_evaluations")},
-            "metrics_csv_equals_first_side": last["digest"] == first,
-            "max_abs_metric_diff_vs_first_side": float(np.max(np.abs(metrics - first_metrics))),
-        }
-    if "baseline" in sides:
-        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
-    return case
+    args = {"family": GRID_FAMILY, "n": GRID_N, "a": list(GRID_A), "k": list(GRID_K),
+            "methods": list(GRID_METHODS), "max_em_iters": GRID_EM_ROUNDS}
+    return _case(
+        "grid", args, sides, rounds, "wrote different grid metrics",
+        ("m_steps", "solver_iterations", "objective_evaluations"),
+        equal=(("metrics_csv_equals_first_side", "digest"),), diff="metric", work=work,
+    )
 
 
 def main(argv=None) -> int:

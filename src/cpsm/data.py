@@ -224,10 +224,15 @@ def _line_fault(line: str, width: int, labels: list[int]) -> str | None:
     if y_cell == "":
         labels.append(0)
         return None
-    try:
-        label = int(y_cell)
-    except ValueError:
-        label = 0
+    # int() alone would also take `1_0` and non-ASCII digits such as `١`;
+    # ASCII without `_` leaves padding, a sign and digits, as strtod spells
+    # an integer.
+    label = 0
+    if y_cell.isascii() and "_" not in y_cell:
+        try:
+            label = int(y_cell)
+        except ValueError:
+            pass
     if not 1 <= label <= _MAX_LABEL:
         return f"field 'y': bad label {y_cell!r}"
     labels.append(label)

@@ -101,8 +101,9 @@ def calibrate_intercept(
         raise ValidationError(f"shift_slope must be finite, got {shift_slope}")
     if z_dist == BERNOULLI_Z:
         sums = shift_slope * np.arange(d_z + 1, dtype=float)
-        weights = np.array([math.comb(d_z, s) for s in range(d_z + 1)], dtype=float)
-        weights /= 2.0**d_z
+        # Integer true division rounds each weight correctly, where a float
+        # 2.0**d_z overflows from d_z = 1024 on.
+        weights = np.array([math.comb(d_z, s) / 2**d_z for s in range(d_z + 1)])
     elif z_dist == GAUSSIAN_Z:
         scale = shift_slope * math.sqrt(d_z)
         # Spacing _NODE_RANGE / half: at most 0.05, and 1 / (2 |scale|).

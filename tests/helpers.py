@@ -194,10 +194,12 @@ def row_wise_read_dataset_csv(path):
             if row[0] == "":
                 labels.append(0)
             else:
-                try:
-                    label = int(row[0])
-                except ValueError:
-                    label = 0
+                label = 0
+                if row[0].isascii() and "_" not in row[0]:
+                    try:
+                        label = int(row[0])
+                    except ValueError:
+                        pass
                 if label < 1:
                     raise ValueError(f"line {lineno}: field 'y': bad label {row[0]!r}")
                 labels.append(label)

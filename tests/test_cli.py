@@ -80,6 +80,14 @@ def test_generate_is_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_generate_with_more_than_1023_bernoulli_bits_exits_0(tmp_path):
+    config = _gen_config(tmp_path, "wide", d_z=1024, d_x=1025, n_source=50, n_target=50,
+                         shift_slope=0.02)
+    assert main(["generate", config]) == 0
+    z, x, y = read_dataset_csv(tmp_path / "wide" / "source.csv")
+    assert z.shape == (50, 1024) and x.shape == (50, 1025) and y.shape == (50,)
+
+
 def test_generate_resample_kind(tmp_path):
     base = _gen_config(tmp_path, "base")
     assert main(["generate", base]) == 0

@@ -127,11 +127,16 @@ def test_a_fault_deep_in_a_long_file_names_its_line(tmp_path, line, labeled, bad
 
 
 def test_a_label_too_large_for_an_int_is_a_bad_label(tmp_path):
+    # So are the spellings Python's int() takes and strtod does not; a sign
+    # and padding are still a label.
     path = tmp_path / "big.csv"
-    path.write_text("y,z1,x1\n1,0.5,1\n99999999999999999999,0.5,1\n", encoding="utf-8")
-    with pytest.raises(ValidationError) as caught:
-        read_dataset_csv(path)
-    assert str(caught.value) == f"{path}: line 3: field 'y': bad label '99999999999999999999'"
+    for cell in ["99999999999999999999", "1_0", "١"]:
+        path.write_text(f"y,z1,x1\n1,0.5,1\n{cell},0.5,1\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as caught:
+            read_dataset_csv(path)
+        assert str(caught.value) == f"{path}: line 3: field 'y': bad label {cell!r}"
+    path.write_text("y,z1,x1\n+1,0.5,1\n 2 ,0.5,1\n", encoding="utf-8")
+    assert read_dataset_csv(path)[2].tolist() == [1, 2]
 
 
 def test_the_first_of_two_faults_in_one_block_is_reported(tmp_path):
@@ -148,7 +153,7 @@ def test_the_first_of_two_faults_in_one_block_is_reported(tmp_path):
 
 # Files the reference and the reader must agree on: random values with
 # random spellings, quoting, spacing and line ends, and now and then a fault.
-_LABELS = st.sampled_from(["1", "2", "3", " 2", "0", "-1", "x", "1.0"])
+_LABELS = st.sampled_from(["1", "2", "3", " 2", "0", "-1", "x", "1.0", "1_0", "١"])
 _SPELLINGS = ["nan", "-inf", "1e400", "abc", "", "1e", ".5", "5.", "+.5e-3", "-0.0", "5e-324", "1,5"]
 _NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

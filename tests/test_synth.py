@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,26 @@ def test_bernoulli_calibration_hits_target_by_enumeration():
             assert enumerate_bernoulli_expectation(theta0, slope, 5) == pytest.approx(
                 prior, abs=1e-4
             )
+
+
+def _exact_bernoulli_expectation(theta0, slope, d_z):
+    """E[sigmoid(theta0 + slope * sum(z))] over d_z fair bits, summed exactly
+    over the d_z + 1 ones-counts."""
+    total = Fraction(0)
+    for s in range(d_z + 1):
+        t = theta0 + slope * s
+        ramp = 1.0 / (1.0 + math.exp(-t)) if t >= 0 else math.exp(t) / (1.0 + math.exp(t))
+        total += Fraction(math.comb(d_z, s), 2**d_z) * Fraction(ramp)
+    return total
+
+
+@pytest.mark.parametrize("d_z", [1024, 1100])
+def test_bernoulli_calibration_past_the_float_range_of_two_to_the_d_z(d_z):
+    # 2.0**d_z overflows a double from d_z = 1024 on; the pattern weights
+    # must not. The slope keeps slope * d_z / 2 inside the root's bracket.
+    for prior in (0.05, 0.3):
+        theta0 = calibrate_intercept(0.02, prior, "bernoulli_z", d_z)
+        assert abs(_exact_bernoulli_expectation(theta0, 0.02, d_z) - Fraction(prior)) < 1e-9
 
 
 def test_gaussian_calibration_regression_constant():
