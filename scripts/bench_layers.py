@@ -54,7 +54,10 @@ posterior or metrics lie from the first side's, as the largest absolute
 difference.
 
 The JSON result, with the machine it ran on, goes to standard output and,
-with `--out`, to a file.
+with `--out`, to a file. Its `sides` names each side by its role, `src` or
+`baseline`, and gives the `fingerprint` of the `cpsm` it imported, not its
+path: the fingerprint of the same files unpacked from `git archive` is the
+same.
 """
 from __future__ import annotations
 
@@ -257,6 +260,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def fingerprint(src: Path) -> str:
+    """The SHA-256, after the word "sha256", over each `cpsm/*.py` file under
+    `src` in name order: its name, a NUL, its size in decimal, a NUL and its
+    bytes."""
+    h = hashlib.sha256()
+    for path in sorted((src / "cpsm").glob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    return f"sha256 {h.hexdigest()}"
+
+
 def _call(op: str, src: Path, args: dict) -> dict:
     env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
     spec = json.dumps({"op": op, "src": str(src), "args": args})
@@ -449,7 +464,7 @@ def main(argv=None) -> int:
             cases.append(grid_case(sides, Path(tmp), args.rounds))
     result = {
         "machine": machine(),
-        "sides": {name: str(path) for name, path in sides.items()},
+        "sides": {name: fingerprint(path) for name, path in sides.items()},
         "rounds": args.rounds,
         "cases": cases,
     }

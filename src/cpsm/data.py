@@ -122,10 +122,6 @@ class LabeledDataset(UnlabeledDataset):
         return UnlabeledDataset(z=self.z, x=self.x)
 
 
-def dataset_header(d_z: int, d_x: int) -> list[str]:
-    return ["y"] + [f"z{i}" for i in range(1, d_z + 1)] + [f"x{i}" for i in range(1, d_x + 1)]
-
-
 def write_csv(path, header: list[str], rows) -> None:
     """Write the header row and then `rows`, each an iterable of cell
     strings, as UTF-8 CSV with "\n" line ends."""
@@ -135,32 +131,41 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+# Rows formatted at a time, so that the cells held as Python objects stay few.
+_BLOCK_ROWS = 256
+
+
+def _write_blocks(path, header: list[str], line: str, *columns: np.ndarray) -> None:
+    """Write `header`, then each row of the 2-D `columns` side by side by the format `line`."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, columns[0].shape[0], _BLOCK_ROWS):
+            # As objects, numbers are Python ints and floats, whose %r is repr.
+            block = [c[start : start + _BLOCK_ROWS] for c in columns]
+            cells = np.concatenate(block, axis=1, dtype=object)
+            fh.write((line + "\n") * len(cells) % tuple(cells.ravel()))
+
+
 def write_dataset_csv(path, z: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> None:
     """Write rows as ``y,z1..,x1..``; y cells are left empty when y is None."""
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
-
-    def rows():
-        for i in range(z.shape[0]):
-            row = ["" if y is None else str(int(y[i]))]
-            row.extend(map(repr, z[i].tolist()))
-            row.extend(map(repr, x[i].tolist()))
-            yield row
-
-    write_csv(path, dataset_header(z.shape[1], x.shape[1]), rows())
+    d_z, d_x = z.shape[1], x.shape[1]
+    header = ["y"] + [f"z{i}" for i in range(1, d_z + 1)] + [f"x{i}" for i in range(1, d_x + 1)]
+    labels = [] if y is None else [np.asarray(y).reshape(-1, 1)]
+    # csv quotes one cell here: a row of a lone empty cell is `""`.
+    line = ",".join(["" if y is None else "%d"] + ["%r"] * (d_z + d_x)) or '""'
+    _write_blocks(path, header, line, *labels, z, x)
 
 
 def write_labels_csv(path, y: np.ndarray) -> None:
-    write_csv(path, ["y"], ([str(int(v))] for v in y))
+    _write_blocks(path, ["y"], "%d", np.asarray(y).reshape(-1, 1))
 
 
 def write_posterior_csv(path, posterior: np.ndarray) -> None:
     """Write an (n, K) posterior as columns ``p1..pK``."""
-    write_csv(
-        path,
-        [f"p{j}" for j in range(1, posterior.shape[1] + 1)],
-        (map(repr, row.tolist()) for row in posterior),
-    )
+    header = [f"p{j}" for j in range(1, posterior.shape[1] + 1)]
+    _write_blocks(path, header, ",".join(["%r"] * len(header)), posterior)
 
 
 def _parse_header(header: list[str], path) -> tuple[int, int]:
@@ -210,12 +215,17 @@ def _parse_lines(lines: list[str], width: int) -> np.ndarray:
     )
 
 
+def _fields(line: str) -> list[str]:
+    """The cells of one CSV line, split on commas where csv rejects it."""
+    try:
+        return next(csv.reader([line]), [])
+    except csv.Error:  # before Python 3.11, csv rejects a NUL character
+        return line.rstrip("\r\n").split(",")
+
+
 def _line_fault(line: str, width: int) -> str | None:
     """The first fault of a data line in a file of `width` columns, or None."""
-    try:
-        fields = next(csv.reader([line]), [])
-    except csv.Error:  # before Python 3.11, csv rejects a NUL character
-        fields = line.rstrip("\r\n").split(",")
+    fields = _fields(line)
     # numpy would read a quote left open on into the next line.
     if fields and fields[-1].endswith(("\n", "\r")):
         return "quoted cell runs past the end of the line"
@@ -282,7 +292,7 @@ def read_dataset_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         first = fh.readline()
         if not first:
             raise ValidationError(f"{path}: line 1: empty file, expected a header")
-        d_z, d_x = _parse_header(next(csv.reader([first]), []), path)
+        d_z, d_x = _parse_header(_fields(first), path)
         blocks = []
         while block := list(itertools.islice(fh, _BLOCK_LINES)):
             blocks.append(_parse_block(block, 2 + len(blocks) * _BLOCK_LINES, 1 + d_z + d_x, path))

@@ -226,3 +226,42 @@ def row_wise_read_dataset_csv(path):
             f"line {line}: mixed labeled and unlabeled rows ({n_labeled} of {n} labeled)"
         )
     return z, x, y
+
+
+def _csv_writer_write(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def row_wise_write_dataset_csv(path, z, x, y):
+    """A dataset CSV written row by row through `csv.writer`, each float by
+    `repr`: the writer the library had before it formatted blocks of rows,
+    kept as the reference for the bytes of `cpsm.data.write_dataset_csv`."""
+    z = np.asarray(z, dtype=float)
+    x = np.asarray(x, dtype=float)
+
+    def rows():
+        for i in range(z.shape[0]):
+            row = ["" if y is None else str(int(y[i]))]
+            row.extend(map(repr, z[i].tolist()))
+            row.extend(map(repr, x[i].tolist()))
+            yield row
+
+    header = ["y"] + [f"z{i}" for i in range(1, z.shape[1] + 1)]
+    _csv_writer_write(path, header + [f"x{i}" for i in range(1, x.shape[1] + 1)], rows())
+
+
+def row_wise_write_labels_csv(path, y):
+    """The reference for the bytes of `cpsm.data.write_labels_csv`."""
+    _csv_writer_write(path, ["y"], ([str(int(v))] for v in y))
+
+
+def row_wise_write_posterior_csv(path, posterior):
+    """The reference for the bytes of `cpsm.data.write_posterior_csv`."""
+    _csv_writer_write(
+        path,
+        [f"p{j}" for j in range(1, posterior.shape[1] + 1)],
+        (map(repr, row.tolist()) for row in posterior),
+    )

@@ -13,13 +13,17 @@ ROOT = Path(__file__).resolve().parents[1]
 _SCRIPT = ROOT / "scripts" / "bench_layers.py"
 
 
-def _main(argv, monkeypatch):
+def _script():
     spec = importlib.util.spec_from_file_location("bench_layers", _SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _main(argv, monkeypatch):
     # main puts --src on sys.path for its own generation.
     monkeypatch.setattr(sys, "path", list(sys.path))
-    return module.main(argv)
+    return _script().main(argv)
 
 
 def _tree(value):
@@ -44,6 +48,10 @@ def test_a_run_against_a_baseline_keeps_the_committed_key_trees(tmp_path, monkey
     assert _main(argv, monkeypatch) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
     assert json.loads(capsys.readouterr().out) == result
+    # Each side is its role and the fingerprint of its cpsm, never a path.
+    fingerprint = _script().fingerprint(ROOT / "src")
+    assert result["sides"] == {"baseline": fingerprint, "src": fingerprint}
+    assert str(ROOT) not in json.dumps(result)
     want = _committed_trees()
     assert [case["op"] for case in result["cases"]] == (
         ["read/write", "generate", "fit", "fit", "em"] * 2
@@ -76,3 +84,15 @@ def test_a_baseline_that_writes_other_bytes_stops_the_run(tmp_path, monkeypatch,
     argv = ["--n", "300", "--rounds", "1", "--ops", "csv", "--baseline", str(baseline)]
     with pytest.raises(SystemExit, match="baseline wrote other bytes for bernoulli_z n=300"):
         _main(argv, monkeypatch)
+
+
+def test_the_fingerprint_of_a_side_is_that_of_its_cpsm_files(tmp_path):
+    fingerprint = _script().fingerprint
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "cpsm" / "notes.txt").write_text("not a module", encoding="utf-8")
+    assert fingerprint(copy) == fingerprint(ROOT / "src")
+    assert fingerprint(copy).startswith("sha256 ")
+    with open(copy / "cpsm" / "data.py", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert fingerprint(copy) != fingerprint(ROOT / "src")

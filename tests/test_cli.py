@@ -208,10 +208,12 @@ _TARGET_CSV = _HEADER + _UNLABELED + ",1.0,-0.5,0.0\n"
         ("target", _HEADER, "line 2: no data rows"),
         ("source", "", "line 1: empty file"),
         ("target", "y,z1,w1,x1\n" + _UNLABELED, "line 1: unexpected column 'w1'"),
+        # Before Python 3.11, csv rejects a NUL character.
+        ("source", "y\0,z1,x1,x2\n" + _ROW, "line 1: first column must be 'y'"),
     ],
     ids=["short-row", "blank-line", "label-x", "label-float", "label-zero", "non-numeric-feature",
          "nan-feature", "mixed-in-source", "mixed-in-target", "header-only", "empty-file",
-         "unexpected-column"],
+         "unexpected-column", "nul-in-header"],
 )
 def test_adapt_names_the_file_and_line_of_a_malformed_csv(tmp_path, capsys, role, text, fault):
     files = {"source": _SOURCE_CSV, "target": _TARGET_CSV, role: text}

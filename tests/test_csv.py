@@ -1,19 +1,30 @@
-"""The dataset CSV reader against the row-wise reference reader.
+"""The dataset CSV reader and the three CSV writers against their row-wise
+references.
 
 `read_dataset_csv` parses feature cells with numpy's C parser; the reference
 in helpers.py parses them with Python's `float()`. On every file both accept
 they must return bitwise-equal arrays, and on a malformed file the same
-message for the same line.
+message for the same line. The writers format a block of rows at a time;
+the references in helpers.py write row by row through `csv.writer`, and
+both must write the same bytes.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cpsm import data
-from cpsm.data import read_dataset_csv, write_dataset_csv
+from cpsm.data import read_dataset_csv, write_dataset_csv, write_labels_csv, write_posterior_csv
 from cpsm.errors import ValidationError
-from helpers import row_wise_read_dataset_csv
+from helpers import (
+    row_wise_read_dataset_csv,
+    row_wise_write_dataset_csv,
+    row_wise_write_labels_csv,
+    row_wise_write_posterior_csv,
+)
 
 # Signed zero, the smallest subnormal, the smallest normal, near the largest
 # double, and values whose shortest repr switches notation.
@@ -218,3 +229,77 @@ def test_random_files_read_as_the_reference_reads_them(tmp_path_factory, text):
         assert result == expected
     else:
         _assert_same(result, expected)
+
+
+# Every value whose repr is special: NaN, the infinities, signed zero, the
+# smallest subnormal, the switches to exponent notation and the largest double.
+_WRITE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+_B = data._BLOCK_ROWS
+_WRITE_ROWS = [0, 1, _B - 1, _B, _B + 1]
+
+
+def _matrix(rng, n, d):
+    """n x d normal draws with about a third of the cells an edge value."""
+    m = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, d))
+    edge = rng.random((n, d)) < 0.3
+    m[edge] = rng.choice(_WRITE_VALUES, size=int(edge.sum()))
+    return m
+
+
+def _same_bytes(tmp_path, write, reference, *args):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write(got, *args)
+    reference(want, *args)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("n", _WRITE_ROWS)
+@pytest.mark.parametrize("d_z, d_x", [(0, 0), (0, 1), (2, 3), (5, 10)])
+@pytest.mark.parametrize("labels", [None, "int", "float"])
+def test_dataset_and_labels_writers_write_the_reference_bytes(tmp_path, n, d_z, d_x, labels):
+    rng = np.random.default_rng(n * 100 + d_z * 10 + d_x)
+    z, x = _matrix(rng, n, d_z), _matrix(rng, n, d_x)
+    y = None if labels is None else rng.integers(1, 2**62, n).astype(labels)
+    _same_bytes(tmp_path, write_dataset_csv, row_wise_write_dataset_csv, z, x, y)
+    if y is not None:
+        _same_bytes(tmp_path, write_labels_csv, row_wise_write_labels_csv, y)
+
+
+@pytest.mark.parametrize("n", _WRITE_ROWS)
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_posterior_writer_writes_the_reference_bytes(tmp_path, n, k):
+    rng = np.random.default_rng(n * 10 + k)
+    posterior = rng.dirichlet(np.ones(k), n)
+    posterior[rng.random((n, k)) < 0.1] = rng.choice(_WRITE_VALUES)
+    _same_bytes(tmp_path, write_posterior_csv, row_wise_write_posterior_csv, posterior)
+
+
+_FLOAT_MATRICES = hnp.arrays(
+    np.float64, st.tuples(st.integers(0, _B + 1), st.integers(0, 6)), elements=st.floats()
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(zx=_FLOAT_MATRICES, split=st.integers(0, 3), labeled=st.booleans())
+def test_random_matrices_are_written_as_the_reference_writes_them(tmp_path_factory, zx, split,
+                                                                    labeled):
+    tmp_path = tmp_path_factory.mktemp("write")
+    split = min(split, zx.shape[1])
+    y = np.arange(1, zx.shape[0] + 1) if labeled else None
+    _same_bytes(tmp_path, write_dataset_csv, row_wise_write_dataset_csv,
+                zx[:, :split], zx[:, split:], y)
+    _same_bytes(tmp_path, write_posterior_csv, row_wise_write_posterior_csv, zx)
+
+
+def test_writing_a_long_file_holds_a_few_blocks_of_cells(tmp_path):
+    # Formatting all 50,000 rows of 15 floats at once peaks at 53 MB; the
+    # writer's blocks of 256 rows peak at 0.28 MB (numpy 2.4.6).
+    rng = np.random.default_rng(0)
+    z, x, y = rng.standard_normal((50_000, 5)), rng.standard_normal((50_000, 10)), np.ones(50_000)
+    tracemalloc.start()
+    try:
+        write_dataset_csv(tmp_path / "long.csv", z, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
