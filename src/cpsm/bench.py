@@ -18,7 +18,7 @@ from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
-from .data import LabeledDataset, UnlabeledDataset, read_labeled_csv, write_csv
+from .data import LabeledDataset, UnlabeledDataset, _write_blocks, read_labeled_csv
 from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
 from .errors import CpsmError, ValidationError, json_number
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
@@ -302,17 +302,13 @@ def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
             results = run_single(
                 source, target, config.methods, config.em, config.measure_wall_clock
             )
-            for method in config.methods:
-                ba, err, seconds = results[method]
-                rows.append(MetricRow(method, a, k, n, seed, ba, err, seconds))
         except CpsmError as exc:
             print(
                 f"benchmark: run failed (a={a}, k={k}, n={n}, seed={seed}): {exc}",
                 file=sys.stderr,
             )
-            nan = float("nan")
-            for method in config.methods:
-                rows.append(MetricRow(method, a, k, n, seed, nan, nan, nan))
+            results = dict.fromkeys(config.methods, (float("nan"),) * 3)
+        rows.extend(MetricRow(m, a, k, n, seed, *results[m]) for m in config.methods)
     rows.sort(key=lambda r: (r.a, r.k, r.n, r.method, r.seed))
     write_metrics_csv(config.output_path, rows)
     if config.aggregate_path:
@@ -320,14 +316,14 @@ def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
     return rows
 
 
-def _cell(value) -> str:
-    """A metrics or aggregate CSV cell: a float by `repr`, a string or an
-    int as it is."""
-    return repr(float(value)) if isinstance(value, float) else str(value)
+def _write_table(path, header: list[str], rows: list[tuple]) -> None:
+    """Write `rows` under `header`, each cell by `str`: a float's is its repr."""
+    cells = np.array(rows, dtype=object).reshape(-1, len(header))
+    _write_blocks(path, header, ",".join(["%s"] * len(header)), cells)
 
 
 def write_metrics_csv(path, rows: list[MetricRow]) -> None:
-    write_csv(path, METRICS_HEADER, (map(_cell, astuple(r)) for r in rows))
+    _write_table(path, METRICS_HEADER, [astuple(r) for r in rows])
 
 
 def aggregate_rows(rows: list[MetricRow]) -> list[tuple]:
@@ -354,4 +350,4 @@ def aggregate_rows(rows: list[MetricRow]) -> list[tuple]:
 
 
 def write_aggregate_csv(path, rows: list[MetricRow]) -> None:
-    write_csv(path, AGGREGATE_HEADER, (map(_cell, row) for row in aggregate_rows(rows)))
+    _write_table(path, AGGREGATE_HEADER, aggregate_rows(rows))

@@ -122,15 +122,6 @@ class LabeledDataset(UnlabeledDataset):
         return UnlabeledDataset(z=self.z, x=self.x)
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """Write the header row and then `rows`, each an iterable of cell
-    strings, as UTF-8 CSV with "\n" line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # Rows formatted at a time, so that the cells held as Python objects stay few.
 _BLOCK_ROWS = 256
 

@@ -11,9 +11,10 @@ non-decreasing by construction and a warm start can only be improved.
 
 Solver contract: `_newton(objective, w0, config)` ascends a callable
 `w -> (value, gradient, Hessian)` over the (K-1, 1+d) weight block.
-`_objective` is the one objective. Its value and gradient come from
-`_value_grad`, which `log_likelihood` and its gradient call alone, with no
-Hessian.
+`_objective` is the one objective: one branch per class count computes
+its value, gradient and Hessian from the same arrays, and one block applies
+the ridge. `log_likelihood` and its gradient call it with `hessian=False`,
+so that they build no Hessian.
 """
 from __future__ import annotations
 
@@ -169,61 +170,53 @@ def _two_class_log_probs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(np.maximum(-scores, 0.0) + soft), -(np.maximum(scores, 0.0) + soft)
 
 
-def _value_grad(w, aug, targets, weights, l2):
-    """Weighted soft-target log-likelihood minus the ridge penalty on slopes,
-    and its gradient with respect to `w`: returns (value, gradient,
-    row_terms), where `row_terms` is what the Hessian reuses. For two
-    classes it is log p1 + log p2 per row, and the case runs on flat score
-    vectors. For K > 2 it is the (n, K) probabilities, `_softmax`'s bit for
-    bit; log p is their log or, below the smallest normal, where p has lost
-    bits or is 0, the max-shifted score less the log of the row's sum.
-    Neither case clamps: a clamped value would be flat where the gradient is
-    not."""
+def _objective(w, aug, targets, weights, l2, hessian=True):
+    """Weighted soft-target log-likelihood less the ridge on slopes, its
+    gradient and, unless `hessian` is False, its Hessian in `w`: returns
+    (value, gradient, Hessian or None). The Hessian is -sum_i weights_i
+    (diag p_i - p_i p_i^T) kron a_i a_i^T, less the ridge, over the
+    flattened (K-1, 1+d) block, a_i the augmented row. Two classes run on
+    flat score vectors. For K > 2, p is `_softmax`'s bit for bit, and log p
+    its log or, below the smallest normal, where p has lost bits or is 0,
+    the max-shifted score less the log of the row's sum. Neither case
+    clamps: a clamped value would be flat where the gradient is not."""
+    h = None
     if targets.shape[1] == 2:
         log_p1, log_p2 = _two_class_log_probs(aug @ w[0])
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
-        resid = (targets[:, 0] - np.exp(log_p1)) * weights
-        g = (resid @ aug)[None, :].copy()
-        row_terms = log_p1 + log_p2
+        g = (((targets[:, 0] - np.exp(log_p1)) * weights) @ aug)[None, :]
+        if hessian:
+            # p1 p2 from the logs keeps its precision where p1 is near 1.
+            log_p1p2 = log_p1 + log_p2
+            del log_p1, log_p2  # freed before the Hessian's sums, which do not read them
+            h = -_gram(aug, weights * np.exp(log_p1p2))
     else:
         log_probs = _shifted_scores(aug @ w.T)
-        row_terms = probs = np.exp(log_probs)
+        probs = np.exp(log_probs)
         total = fold_columns(np.add, probs)
         probs /= total[:, None]
         log_probs -= np.log(total)[:, None]
         np.log(probs, out=log_probs, where=probs >= _TINY)
         value = float(np.sum(weights[:, None] * targets * log_probs))
-        resid = (targets[:, :-1] - probs[:, :-1]) * weights[:, None]
-        g = resid.T @ aug
+        g = ((targets[:, :-1] - probs[:, :-1]) * weights[:, None]).T @ aug
+        if hessian:
+            del log_probs, total  # freed before the sums, which do not read them
+            # Block (k, j) is -sum_i weights_i p_ik (delta_kj - p_ij) a_i a_i^T.
+            width = aug.shape[1]
+            h = np.empty((g.size, g.size))
+            for k in range(g.shape[0]):
+                wp = weights * probs[:, k]
+                for j in range(k, g.shape[0]):
+                    block = -_gram(aug, wp * ((j == k) - probs[:, j]))
+                    h[k * width:(k + 1) * width, j * width:(j + 1) * width] = block
+                    h[j * width:(j + 1) * width, k * width:(k + 1) * width] = block.T
     if l2 > 0:
         value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
         g[:, 1:] -= l2 * w[:, 1:]
-    return value, g, row_terms
-
-
-def _objective(w, aug, targets, weights, l2):
-    """`_value_grad`'s value and gradient, with the Hessian with respect to
-    `w` from the same pass: returns (value, gradient, Hessian). The Hessian
-    is -sum_i weights_i (diag p_i - p_i p_i^T) kron a_i a_i^T, minus the
-    ridge, over the flattened (K-1, 1+d) block, a_i the augmented row."""
-    value, g, row_terms = _value_grad(w, aug, targets, weights, l2)
-    if targets.shape[1] == 2:
-        # p1 p2 from the logs keeps its precision where p1 is near 1.
-        h = -_gram(aug, weights * np.exp(row_terms))
-    else:
-        # Block (k, j) is -sum_i weights_i p_ik (delta_kj - p_ij) a_i a_i^T.
-        probs, width = row_terms, aug.shape[1]
-        h = np.empty((g.size, g.size))
-        for k in range(g.shape[0]):
-            wp = weights * probs[:, k]
-            for j in range(k, g.shape[0]):
-                block = -_gram(aug, wp * ((j == k) - probs[:, j]))
-                h[k * width:(k + 1) * width, j * width:(j + 1) * width] = block
-                h[j * width:(j + 1) * width, k * width:(k + 1) * width] = block.T
-    if l2 > 0:
-        ridge = np.full(w.shape, l2)
-        ridge[:, 0] = 0.0
-        h[np.diag_indices_from(h)] -= ridge.ravel()
+        if hessian:
+            ridge = np.full(w.shape, l2)
+            ridge[:, 0] = 0.0
+            h[np.diag_indices_from(h)] -= ridge.ravel()
     return value, g, h
 
 
@@ -363,11 +356,11 @@ def _unit_weight_problem(params: SoftmaxParams, features, targets):
 def log_likelihood(params: SoftmaxParams, features, targets) -> float:
     """Soft-target log-likelihood of the model on the given rows: the
     solver's objective with unit weights and no ridge."""
-    return _value_grad(*_unit_weight_problem(params, features, targets), 0.0)[0]
+    return _objective(*_unit_weight_problem(params, features, targets), 0.0, hessian=False)[0]
 
 
 def log_likelihood_grad(params: SoftmaxParams, features, targets) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of `log_likelihood` as (d_intercepts, d_slopes): the
     solver's gradient with unit weights and no ridge."""
-    g = _value_grad(*_unit_weight_problem(params, features, targets), 0.0)[1]
+    g = _objective(*_unit_weight_problem(params, features, targets), 0.0, hessian=False)[1]
     return g[:, 0], g[:, 1:]

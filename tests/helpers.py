@@ -258,6 +258,18 @@ def row_wise_write_labels_csv(path, y):
     _csv_writer_write(path, ["y"], ([str(int(v))] for v in y))
 
 
+def row_wise_write_table(path, header, rows):
+    """A benchmark table written row by row through `csv.writer`, each float
+    by `repr` and any other cell by `str`: the writer the benchmark had
+    before it shared the block writer, kept as the reference for the bytes
+    of `cpsm.bench.write_metrics_csv` and `write_aggregate_csv`."""
+    _csv_writer_write(
+        path,
+        header,
+        ([repr(float(v)) if isinstance(v, float) else str(v) for v in row] for row in rows),
+    )
+
+
 def row_wise_write_posterior_csv(path, posterior):
     """The reference for the bytes of `cpsm.data.write_posterior_csv`."""
     _csv_writer_write(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsm import ValidationError, adjust_posterior
+from cpsm.adjust import check_posterior
 
 from helpers import bayes_posterior_from_joint, random_discrete_joint
 
@@ -88,6 +89,20 @@ def test_shape_mismatch_rejected():
 def test_non_stochastic_posterior_rejected():
     with pytest.raises(ValidationError):
         adjust_posterior(np.array([[0.7, 0.7]]), np.ones((1, 2)), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [
+        ([0.5, 0.5], r"must be an \(n, K>=2\) matrix"),
+        ([[0.5, 0.5]] * 3, "3 rows, expected 2"),
+        ([[1.5, -0.5], [0.5, 0.5]], r"entries must lie in \[0, 1\]"),
+    ],
+    ids=["one-dimensional", "row-count", "entry-above-one"],
+)
+def test_check_posterior_rejects(probs, message):
+    with pytest.raises(ValidationError, match=message):
+        check_posterior(probs, n_rows=2)
 
 
 def test_negative_ratio_entries_rejected():

@@ -75,9 +75,10 @@ def test_a_baseline_that_writes_other_bytes_stops_the_run(tmp_path, monkeypatch,
     shutil.copytree(ROOT / "src", baseline, ignore=shutil.ignore_patterns("__pycache__"))
     with open(baseline / "cpsm" / "data.py", "a", encoding="utf-8") as fh:
         fh.write(
-            "\n_write_rows = write_dataset_csv\n\n\n"
-            "def write_dataset_csv(path, z, x, y):\n"
-            "    _write_rows(path, z, x, y)\n"
+            # The default argument keeps the original writer and adds no
+            # module-level name that could rebind a helper of data.py.
+            "\n\ndef write_dataset_csv(path, z, x, y, _write=write_dataset_csv):\n"
+            "    _write(path, z, x, y)\n"
             "    with open(path, 'a', encoding='utf-8') as out:\n"
             "        out.write('\\n')\n"
         )

@@ -11,7 +11,7 @@ from cpsm import bench
 from cpsm.cli import main
 from cpsm.data import read_dataset_csv
 from cpsm.em import EmConfig
-from cpsm.errors import ValidationError
+from cpsm.errors import NumericalError, ValidationError
 from cpsm.metrics import MetricRow
 from cpsm.synth import ShiftProtocolConfig, SynthConfig
 
@@ -210,10 +210,11 @@ _TARGET_CSV = _HEADER + _UNLABELED + ",1.0,-0.5,0.0\n"
         ("target", "y,z1,w1,x1\n" + _UNLABELED, "line 1: unexpected column 'w1'"),
         # Before Python 3.11, csv rejects a NUL character.
         ("source", "y\0,z1,x1,x2\n" + _ROW, "line 1: first column must be 'y'"),
+        ("source", _TARGET_CSV, "source must be labeled"),
     ],
     ids=["short-row", "blank-line", "label-x", "label-float", "label-zero", "non-numeric-feature",
          "nan-feature", "mixed-in-source", "mixed-in-target", "header-only", "empty-file",
-         "unexpected-column", "nul-in-header"],
+         "unexpected-column", "nul-in-header", "unlabeled-source"],
 )
 def test_adapt_names_the_file_and_line_of_a_malformed_csv(tmp_path, capsys, role, text, fault):
     files = {"source": _SOURCE_CSV, "target": _TARGET_CSV, role: text}
@@ -247,6 +248,20 @@ def test_adapt_missing_file_exits_4(tmp_path):
     source, target = _generated_pair(tmp_path)
     assert main(["adapt", str(tmp_path / "nope.csv"), target,
                  "--output", str(tmp_path / "x")]) == 4
+
+
+def test_adapt_numerical_failure_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    source, target = _generated_pair(tmp_path)
+
+    def fail(*args):
+        raise NumericalError("non-finite objective at initialization")
+
+    monkeypatch.setattr(bench, "adapt", fail)
+    capsys.readouterr()
+    assert main(["adapt", source, target, "--output", str(tmp_path / "num")]) == 3
+    assert "cpsm: numerical failure: non-finite objective" in capsys.readouterr().err
+    assert not (tmp_path / "num.fit.json").exists()
+    assert not (tmp_path / "num.posterior.csv").exists()
 
 
 def _bench_config(tmp_path, name="bench", **overrides):
@@ -530,24 +545,69 @@ def test_malformed_config_exits_2_and_writes_nothing(tmp_path, capsys, command, 
     assert not (tmp_path / "out.csv").exists()
 
 
+# Resample inputs that no run can use: a third label, and a conditioning
+# column z1 that holds 0.5.
+_THREE_LABELS_CSV = "y,z1,x1\n1,0.0,0.5\n2,1.0,0.1\n3,1.0,-0.2\n"
+_HALF_Z_CSV = "y,z1,x1\n1,0.0,0.5\n2,0.5,0.1\n"
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, message",
     [
-        {"generator": {"dataset_kind": "bogus"}},
-        {"grid": {"a": [1.5], "k": [1.0], "n": [150]}},
-        {"grid": {"a": [0.3], "k": [-1.0], "n": [150]}},
-        {"grid": {"a": [0.3], "k": [1.0], "n": [0]}},
-        {"generator": {"kind": "resample"}, "grid": {"a": [0.2], "k": [0.9], "n": [50]}},
-        {"generator": {"kind": "resample", "conditioning_column": 99},
-         "grid": {"a": [0.2], "k": [0.3], "n": [50]}},
-        {"grid": {"a": [0.3], "k": [math.nan], "n": [150]}},
-        {"grid": {"a": [0.3], "k": [math.inf], "n": [150]}},
+        ({"source_cond_prob": 1.0}, "source_cond_prob must lie in (0, 1)"),
+        ({"kind": "resample", "base_rate": 1.5, "shift_delta": 0.0},
+         "base_rate must lie in (0, 1)"),
+        ({"kind": "resample", "input_csv": _THREE_LABELS_CSV},
+         "shift protocol requires binary labels"),
+        ({"kind": "resample", "input_csv": _HALF_Z_CSV}, "conditioning column must be binary"),
+    ],
+    ids=["cond-prob-out-of-range", "base-rate-out-of-range", "three-labels", "half-in-z"],
+)
+def test_generate_rejects_an_unusable_generator_and_writes_nothing(tmp_path, capsys, overrides,
+                                                                   message):
+    if overrides.get("kind") == "resample":
+        # An `input_csv` given here is the text of the input file.
+        input_csv = tmp_path / "input.csv"
+        if "input_csv" in overrides:
+            input_csv.write_text(overrides["input_csv"])
+        else:
+            input_csv = _labeled_csv(tmp_path)
+        doc = {"base_rate": 0.3, "shift_delta": 0.3, "n_source": 60, "n_target": 60,
+               "output_dir": str(tmp_path / "out"), **overrides, "input_csv": str(input_csv)}
+        config = _write_json(tmp_path / "out.json", doc)
+    else:
+        config = _gen_config(tmp_path, "out", **overrides)
+    capsys.readouterr()
+    assert main(["generate", config]) == 2
+    assert f"validation error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, names",
+    [
+        ({"generator": {"dataset_kind": "bogus"}}, "dataset_kind"),
+        ({"grid": {"a": [1.5], "k": [1.0], "n": [150]}}, "target_prior"),
+        ({"grid": {"a": [0.3], "k": [-1.0], "n": [150]}}, "shift_slope"),
+        ({"grid": {"a": [0.3], "k": [1.0], "n": [0]}}, "n_source"),
+        ({"generator": {"kind": "resample"}, "grid": {"a": [0.2], "k": [0.9], "n": [50]}},
+         "base_rate + shift_delta"),
+        ({"generator": {"kind": "resample", "conditioning_column": 99},
+          "grid": {"a": [0.2], "k": [0.3], "n": [50]}}, "conditioning_column"),
+        ({"grid": {"a": [0.3], "k": [math.nan], "n": [150]}}, "grid.k"),
+        ({"grid": {"a": [0.3], "k": [math.inf], "n": [150]}}, "grid.k"),
+        ({"generator": {"kind": "bogus"}}, "generator kind 'bogus'"),
+        ({"grid": {"a": [0.3], "k": [], "n": [150]}}, "grid lists must be nonempty"),
+        ({"methods": []}, "methods list is empty"),
+        ({"repetitions": 0}, "repetitions must be >= 1"),
     ],
     ids=["bad-kind", "prior-out-of-range", "negative-slope", "zero-rows",
          "rate-plus-shift-out-of-range", "conditioning-column-out-of-range",
-         "slope-nan", "slope-infinite"],
+         "slope-nan", "slope-infinite", "unknown-generator-kind", "empty-grid-list",
+         "no-methods", "no-repetitions"],
 )
-def test_benchmark_rejects_unusable_generator_or_grid_before_any_run(tmp_path, capsys, overrides):
+def test_benchmark_rejects_unusable_generator_or_grid_before_any_run(tmp_path, capsys, overrides,
+                                                                     names):
     if overrides.get("generator", {}).get("kind") == "resample":
         overrides["generator"]["input_csv"] = _labeled_csv(tmp_path)
     config = _bench_config(tmp_path, name="unusable", **overrides)
@@ -555,5 +615,6 @@ def test_benchmark_rejects_unusable_generator_or_grid_before_any_run(tmp_path, c
     assert main(["benchmark", config]) == 2
     captured = capsys.readouterr()
     assert "validation error" in captured.err and "run failed" not in captured.err
+    assert names in captured.err
     assert not (tmp_path / "unusable.csv").exists()
     assert not (tmp_path / "unusable_agg.csv").exists()

@@ -1,5 +1,6 @@
-"""The dataset CSV reader and the three CSV writers against their row-wise
-references.
+"""The dataset CSV reader and the CSV writers (the dataset, labels and
+posterior files, and the benchmark's metrics and aggregate tables) against
+their row-wise references.
 
 `read_dataset_csv` parses feature cells with numpy's C parser; the reference
 in helpers.py parses them with Python's `float()`. On every file both accept
@@ -9,6 +10,7 @@ the references in helpers.py write row by row through `csv.writer`, and
 both must write the same bytes.
 """
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpsm import data
+from cpsm import bench, data
 from cpsm.data import read_dataset_csv, write_dataset_csv, write_labels_csv, write_posterior_csv
 from cpsm.errors import ValidationError
 from helpers import (
@@ -24,6 +26,7 @@ from helpers import (
     row_wise_write_dataset_csv,
     row_wise_write_labels_csv,
     row_wise_write_posterior_csv,
+    row_wise_write_table,
 )
 
 # Signed zero, the smallest subnormal, the smallest normal, near the largest
@@ -272,6 +275,28 @@ def test_posterior_writer_writes_the_reference_bytes(tmp_path, n, k):
     posterior = rng.dirichlet(np.ones(k), n)
     posterior[rng.random((n, k)) < 0.1] = rng.choice(_WRITE_VALUES)
     _same_bytes(tmp_path, write_posterior_csv, row_wise_write_posterior_csv, posterior)
+
+
+@pytest.mark.parametrize("n", _WRITE_ROWS)
+def test_benchmark_tables_write_the_reference_bytes(tmp_path, n):
+    # 2n runs over 16 cells. Every run of the first cell fails, so that it is
+    # written with `runs` 0 and NaN statistics; a run of another fails with
+    # probability 0.3.
+    rng = np.random.default_rng(n)
+    cells = [(m, a, k) for m in bench.METHODS for a in (0.05, 0.5) for k in (0.0, 5.0)]
+    rows = []
+    for seed in range(2 * n):
+        method, a, k = cells[seed % len(cells)]
+        scores = [np.float64(rng.random()), rng.random(), rng.choice(_WRITE_VALUES)]
+        if seed % len(cells) == 0 or rng.random() < 0.3:
+            scores = [np.nan] * 3
+        rows.append(bench.MetricRow(method, a, k, 2000, seed, *scores))
+    _same_bytes(tmp_path, bench.write_metrics_csv,
+                lambda path, rows: row_wise_write_table(path, bench.METRICS_HEADER,
+                                                        map(astuple, rows)), rows)
+    _same_bytes(tmp_path, bench.write_aggregate_csv,
+                lambda path, rows: row_wise_write_table(path, bench.AGGREGATE_HEADER,
+                                                        bench.aggregate_rows(rows)), rows)
 
 
 _FLOAT_MATRICES = hnp.arrays(

@@ -510,6 +510,27 @@ def test_mismatched_models_rejected(small_models):
         )
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda models: SourceModels(posterior_model=zero_params(2, 1),
+                                     conditional_model=zero_params(2, 2)),
+         "posterior model must cover at least the conditioning features"),
+        (lambda models: fit_cpsm(models, UnlabeledDataset(z=np.zeros((4, 5)), x=np.zeros((4, 9))),
+                                 EmConfig()),
+         "posterior model expects 15 features, target has 14"),
+        (lambda models: fit_mlls(models.posterior_model, np.array([0.5, 0.3, 0.2]),
+                                 UnlabeledDataset(z=np.zeros((4, 5)), x=np.zeros((4, 10))),
+                                 EmConfig()),
+         "prior length 3 does not match model classes 2"),
+    ],
+    ids=["posterior-narrower", "posterior-width", "prior-length"],
+)
+def test_models_of_other_shapes_are_rejected(small_models, fault, message):
+    with pytest.raises(ValidationError, match=message):
+        fault(small_models)
+
+
 def test_empty_target_rejected(small_models):
     with pytest.raises(ValidationError, match="empty"):
         fit_cpsm(
@@ -543,26 +564,37 @@ def test_fit_json_round_trip(tmp_path, small_pair, small_models):
     assert np.array_equal(theta.slopes, result.theta_hat.slopes)
 
 
+_ABSENT = object()
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
         ("n_classes", 2.9, "n_classes must be an integer"),
         ("n_classes", "2", "n_classes must be a JSON number"),
         ("slopes", [[1.0, 2.0, 3.0]], "cannot reshape"),
+        ("intercepts", _ABSENT, "missing field in model document: 'intercepts'"),
     ],
-    ids=["fraction", "string", "slopes-size"],
+    ids=["fraction", "string", "slopes-size", "missing-field"],
 )
 def test_model_document_faults_are_validation_errors(field, value, message):
     doc = params_to_dict(SoftmaxParams(2, 2, np.array([0.5]), np.array([[1.0, 2.0]])))
-    doc[field] = value
+    if value is _ABSENT:
+        del doc[field]
+    else:
+        doc[field] = value
     with pytest.raises(ValidationError, match=message):
         params_from_dict(doc)
 
 
 @pytest.mark.parametrize(
     "text, message",
-    [("[1, 2]\n", "must be an object"), ('{"format_version": 1', "invalid JSON")],
-    ids=["list", "truncated"],
+    [
+        ("[1, 2]\n", "must be an object"),
+        ('{"format_version": 1', "invalid JSON"),
+        ('{"format_version": 2}', "unsupported fit document version: 2"),
+    ],
+    ids=["list", "truncated", "other-version"],
 )
 def test_fit_file_faults_are_validation_errors(tmp_path, text, message):
     path = tmp_path / "fit.json"

@@ -76,6 +76,16 @@ def test_missing_true_class_is_an_error():
         balanced_accuracy(np.array([1, 1, 1]), np.array([1, 2, 1]))
 
 
+@pytest.mark.parametrize(
+    "y_true, y_pred, message",
+    [([1, 2, 1], [1, 2], "1-D vectors of equal length"), ([], [], "empty label vectors")],
+    ids=["unequal-length", "empty"],
+)
+def test_balanced_accuracy_rejects(y_true, y_pred, message):
+    with pytest.raises(ValidationError, match=message):
+        balanced_accuracy(np.array(y_true), np.array(y_pred))
+
+
 def test_relabeling_invariance():
     rng = np.random.default_rng(8)
     y_true = rng.integers(1, 3, 60)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cpsm import (
     LabeledDataset,
+    NumericalError,
     SoftmaxParams,
     UnlabeledDataset,
     ValidationError,
@@ -21,7 +22,6 @@ from cpsm.softmax import (
     _objective,
     _softmax,
     _two_class_log_probs,
-    _value_grad,
     fit_hard,
     fit_soft,
     log_likelihood,
@@ -332,6 +332,33 @@ def test_warm_start_shape_mismatch_rejected():
         fit_soft(np.zeros((4, 2)), np.tile([0.5, 0.5], (4, 1)), FitConfig(), init=init)
 
 
+@pytest.mark.parametrize(
+    "intercepts, message",
+    [([0.5], r"intercepts shape \(1,\) != \(2,\)"), ([0.5, math.nan], "parameters must be finite")],
+    ids=["intercepts-shape", "intercept-nan"],
+)
+def test_bad_parameters_rejected(intercepts, message):
+    with pytest.raises(ValidationError, match=message):
+        SoftmaxParams(3, 1, np.array(intercepts), np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "sample_weights, message",
+    [([1.0, 1.0], "sample_weights length must match rows"),
+     ([1.0, -1.0, 1.0], "sample_weights must be finite and nonnegative")],
+    ids=["length", "negative"],
+)
+def test_bad_sample_weights_rejected(sample_weights, message):
+    with pytest.raises(ValidationError, match=message):
+        fit_soft(np.zeros((3, 1)), np.full((3, 2), 0.5), FitConfig(), sample_weights=sample_weights)
+
+
+def test_newton_rejects_a_non_finite_start():
+    objective = lambda w: (math.nan, np.zeros_like(w), np.zeros((w.size, w.size)))
+    with pytest.raises(NumericalError, match="non-finite objective at initialization"):
+        _newton(objective, np.zeros((1, 2)), FitConfig())
+
+
 def test_label_gap_rejected_naming_the_label():
     # Labels {1, 3}: class 2 has no rows, and a fit would drive its intercept
     # towards minus infinity instead of reporting the gap.
@@ -569,5 +596,5 @@ def test_log_likelihood_builds_no_hessian(n_classes, monkeypatch):
     assert log_likelihood(params, feats, targets) == full[0]
     gi, gs = log_likelihood_grad(params, feats, targets)
     assert np.array_equal(np.hstack([gi[:, None], gs]), full[1])
-    value, grad, _ = _value_grad(w, aug, targets, weights, 1e-3)
+    value, grad, _ = _objective(w, aug, targets, weights, 1e-3, hessian=False)
     assert value == ridged[0] and np.array_equal(grad, ridged[1])

@@ -11,6 +11,7 @@ from cpsm import (
     ShiftProtocolConfig,
     SoftmaxParams,
     SynthConfig,
+    UnlabeledDataset,
     ValidationError,
     calibrate_intercept,
     generate_pair,
@@ -534,3 +535,25 @@ def test_labels_csv_is_the_dataset_format_with_a_lone_y_column(tmp_path, body, m
 def test_labels_that_are_not_whole_numbers_are_rejected(labels):
     with pytest.raises(ValidationError, match="labels must be integers"):
         LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=labels)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=[[1], [2]]),
+         "labels must be a 1-D vector, got ndim=2"),
+        (lambda: LabeledDataset(z=np.zeros((0, 1)), x=np.zeros((0, 1)), y=[]), "labels are empty"),
+        (lambda: LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=[0, 1]),
+         "labels must be 1-based positive integers"),
+        (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((3, 1))),
+         "row mismatch: z has 2, x has 3"),
+        (lambda: LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=[1, 2, 1]),
+         "row mismatch: z has 2, x has 2, y has 3"),
+        (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1))).features("x"),
+         "unknown feature block 'x'"),
+    ],
+    ids=["labels-2d", "labels-empty", "label-zero", "z-x-rows", "features-y-rows", "unknown-block"],
+)
+def test_dataset_faults_are_validation_errors(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
