@@ -36,16 +36,16 @@ def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
 
 def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
     """Validate an (n, K) row-stochastic probability matrix, with n equal to
-    `n_rows` when given."""
+    `n_rows` when given. A NaN fails every test."""
     p = np.asarray(probs, dtype=float)
     if p.ndim != 2 or p.shape[1] < 2:
         raise ValidationError(f"{name} must be an (n, K>=2) matrix")
     if n_rows is not None and p.shape[0] != n_rows:
         raise ValidationError(f"{name}: {p.shape[0]} rows, expected {n_rows}")
-    if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
+    if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     sums = fold_columns(np.add, p)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    bad = np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-9))
     if bad.size:
         raise ValidationError(
             f"{name} row {bad[0]} sums to {sums[bad[0]]!r}, must be 1 within 1e-9"
@@ -68,16 +68,8 @@ def adjust_posterior(source_posterior, numerator, denominator) -> AdjustResult:
     into [RATIO_MIN, RATIO_MAX]. The returned `row_normalizer` is the
     reciprocal of the density ratio between source and target feature laws
     at each row; the sum of its logs is the marginal log-likelihood
-    surrogate that EM must not decrease. The checks run on every call;
-    `fit_cpsm` runs them once per fit and calls the kernel `_reweight` in
-    every round.
+    surrogate that EM must not decrease.
     """
-    return _reweight(*_check_adjust_inputs(source_posterior, numerator, denominator))
-
-
-def _check_adjust_inputs(source_posterior, numerator, denominator):
-    """`adjust_posterior`'s inputs as float arrays, checked: a row-stochastic
-    posterior, and finite, nonnegative ratio matrices of its shape."""
     p = check_posterior(source_posterior, "source_posterior")
     num = np.asarray(numerator, dtype=float)
     den = np.asarray(denominator, dtype=float)
@@ -89,15 +81,16 @@ def _check_adjust_inputs(source_posterior, numerator, denominator):
         raise ValidationError("ratio matrices must be finite")
     if np.any(num < 0) or np.any(den < 0):
         raise ValidationError("ratio matrices must be nonnegative")
-    return p, num, den
+    ratio = np.maximum(num, RATIO_MIN) / np.maximum(den, RATIO_MIN)
+    return _reweight(p, np.clip(ratio, RATIO_MIN, RATIO_MAX))
 
 
-def _reweight(p: np.ndarray, num: np.ndarray, den: np.ndarray) -> AdjustResult:
-    """`adjust_posterior` on checked inputs. A zero or non-finite row
-    normalizer raises NumericalError: it depends on the ratios, which change
-    every EM round."""
-    r = np.clip(np.maximum(num, RATIO_MIN) / np.maximum(den, RATIO_MIN), RATIO_MIN, RATIO_MAX)
-    weighted = p * r
+def _reweight(p: np.ndarray, ratio) -> AdjustResult:
+    """The posterior `p` times the class ratios `ratio`, which broadcast
+    against it, renormalized per row. A zero or non-finite row normalizer
+    raises NumericalError: it depends on the ratios, which change every EM
+    round."""
+    weighted = p * ratio
     norm = fold_columns(np.add, weighted)
     if np.any(norm <= 0.0) or not np.all(np.isfinite(norm)):
         bad = int(np.flatnonzero(~(norm > 0.0) | ~np.isfinite(norm))[0])

@@ -23,7 +23,9 @@ from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
 from .errors import CpsmError, ValidationError, json_number
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
 from .softmax import FitConfig, SoftmaxParams, fit_hard
-from .synth import ShiftProtocolConfig, SynthConfig, induce_conditional_shift, generate_pair
+from .synth import (
+    ShiftProtocolConfig, SynthConfig, _binary_column, generate_pair, induce_conditional_shift,
+)
 
 ADAPT_METHODS = ("naive", "mlls", "cpsm")
 METHODS = ADAPT_METHODS + ("oracle",)
@@ -127,12 +129,8 @@ class Generator:
     base: LabeledDataset | None = None
 
     def config(self, **run) -> SynthConfig | ShiftProtocolConfig:
-        """The kind's config from the block's fields plus the per-run `run`,
-        checked against the resample input."""
-        config = _KINDS[self.kind][0](**self.settings, **run)
-        if self.base is not None:
-            config.check_input(self.base)
-        return config
+        """The kind's config from the block's fields plus the per-run `run`."""
+        return _KINDS[self.kind][0](**self.settings, **run)
 
     def pair(self, **run) -> tuple[LabeledDataset, LabeledDataset]:
         """A (source, target) pair; target labels are for evaluation only."""
@@ -155,7 +153,11 @@ def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
         settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
         base = None
         if kind == "resample":
-            base = read_labeled_csv(_read("input_csv", doc["input_csv"], str), "resample input")
+            path = _read("input_csv", doc["input_csv"], str)
+            base = read_labeled_csv(path, "resample input")
+            # The column is a block setting, so one check serves every run.
+            column = settings.get("conditioning_column", cls.conditioning_column)
+            _binary_column(base, column, f"{path}: ")
     return Generator(kind, settings, base)
 
 

@@ -1,12 +1,12 @@
 """EM estimation of the target-domain class-given-conditioning model from
 unlabeled target rows, given source-fitted models.
 
-The E-step turns source posteriors into target responsibilities through the
-conditional-ratio reweighting of `adjust_posterior(p_xz, q_z, p_z)` on the
-clamped source posterior p(y | z, x), shifted conditional q(y | z; theta)
-and source conditional p(y | z) of every target row. `fit_cpsm` checks those
-inputs once and runs the kernel `adjust._reweight` every round: p_xz and p_z
-are fixed, each q_z is a clamped `predict_proba` of their shape, and a zero
+The E-step turns source posteriors into target responsibilities by the
+conditional-ratio reweighting of `adjust_posterior`: the clamped source
+posterior p(y | z, x) of each target row times q(y | z; theta) / p(y | z),
+renormalized per row. Both conditionals are clamped `predict_proba` scores,
+whose ratio lies strictly inside `adjust_posterior`'s clip, so `fit_cpsm`
+passes it to the kernel `adjust._reweight` without the input checks; a zero
 or non-finite row normalizer still raises NumericalError. The M-step refits
 the shifted conditional model on those responsibilities by `fit_soft`, whose
 Newton steps on the exact Hessian converge in a few iterations from the
@@ -19,7 +19,7 @@ as special cases.
 The shifted model sees the conditioning block z only through its distinct
 rows. `fit_cpsm` groups the target's z rows into patterns once; each M-step
 then fits the mean responsibilities of every pattern, weighted by its row
-count, and each E-step scores q(y | z; theta) once per pattern. So the
+count, and the E-step scores both conditionals once per pattern. So the
 M-step cost scales with the number of distinct z patterns (32 for five
 binary columns, 1 for the prior-only case), not with the target rows. The
 objective, its gradient and its Hessian are the row-wise sums regrouped.
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import _check_adjust_inputs, _reweight
+from .adjust import _reweight
 from .data import UnlabeledDataset, read_json_object
 from .errors import ValidationError, check_integers, check_reals, json_number
 from .softmax import (
@@ -103,26 +103,6 @@ class CpsmFit:
     estimated_prior: np.ndarray
 
 
-def _source_probs(source: SourceModels, target: UnlabeledDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Clamped source posteriors p(y | z, x) and conditionals p(y | z) on the
-    target rows."""
-    if target.n_rows == 0:
-        raise ValidationError("target dataset is empty")
-    if source.conditional_model.n_features != target.d_z:
-        raise ValidationError(
-            f"conditional model expects {source.conditional_model.n_features} conditioning "
-            f"features, target has {target.d_z}"
-        )
-    if source.posterior_model.n_features != target.d_z + target.d_x:
-        raise ValidationError(
-            f"posterior model expects {source.posterior_model.n_features} features, "
-            f"target has {target.d_z + target.d_x}"
-        )
-    p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
-    p_z = clamp_probs(predict_proba(source.conditional_model, target.z))
-    return p_xz, p_z
-
-
 class _Patterns(NamedTuple):
     """The distinct rows of a matrix in order of first occurrence, the
     pattern index of every row, and the number of rows of each pattern."""
@@ -172,22 +152,32 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
     target with no shift is a fixed point. Stops when the surrogate improves
     by less than `em_tolerance` or after `max_em_iters` rounds.
     """
-    p_xz, p_z = _source_probs(source, target)
-    # Iteration 0 scores the source conditional model, whose clamped
-    # probabilities are p_z; only the later rounds need the z patterns.
-    theta, q_z = source.conditional_model, p_z
-    p_xz, q_z, p_z = _check_adjust_inputs(p_xz, q_z, p_z)
-    patterns = _distinct_rows(target.z) if config.max_em_iters > 0 else None
-
-    trace: list[float] = []
-    for it in range(config.max_em_iters + 1):
-        if it > 0:
-            theta = _fit_patterns(patterns, result.posterior, theta)
-            q_z = clamp_probs(predict_proba(theta, patterns.rows))[patterns.inverse]
-        result = _reweight(p_xz, q_z, p_z)
-        value = float(np.log(result.row_normalizer).sum())
-        trace.append(value)
-        if it > 0 and value - trace[-2] < config.em_tolerance:
+    if target.n_rows == 0:
+        raise ValidationError("target dataset is empty")
+    if source.conditional_model.n_features != target.d_z:
+        raise ValidationError(
+            f"conditional model expects {source.conditional_model.n_features} conditioning "
+            f"features, target has {target.d_z}"
+        )
+    if source.posterior_model.n_features != target.d_z + target.d_x:
+        raise ValidationError(
+            f"posterior model expects {source.posterior_model.n_features} features, "
+            f"target has {target.d_z + target.d_x}"
+        )
+    p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
+    # Iteration 0 scores the source conditional model itself: q = p, a ratio
+    # of 1. Only the later rounds need the z patterns and p(y | z).
+    theta, result = source.conditional_model, _reweight(p_xz, 1.0)
+    trace = [float(np.log(result.row_normalizer).sum())]
+    if config.max_em_iters > 0:
+        patterns = _distinct_rows(target.z)
+        p_z = clamp_probs(predict_proba(theta, patterns.rows))
+    for _ in range(config.max_em_iters):
+        theta = _fit_patterns(patterns, result.posterior, theta)
+        q_z = clamp_probs(predict_proba(theta, patterns.rows))
+        result = _reweight(p_xz, (q_z / p_z)[patterns.inverse])
+        trace.append(float(np.log(result.row_normalizer).sum()))
+        if trace[-1] - trace[-2] < config.em_tolerance:
             break
     posterior = result.posterior
     return CpsmFit(

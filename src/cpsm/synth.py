@@ -208,19 +208,21 @@ class ShiftProtocolConfig:
             raise ValidationError("base_rate + shift_delta must lie in (0, 1)")
         check_integers(self, n_source=1, n_target=1, conditioning_column=0, seed=0)
 
-    def check_input(self, data: LabeledDataset) -> np.ndarray:
-        """Reject an input that no resampling with this conditioning column
-        can use, whatever the rates, sizes and seed; returns the column."""
-        if data.n_classes != 2:
-            raise ValidationError("shift protocol requires binary labels in {1, 2}")
-        if self.conditioning_column >= data.d_z:
-            raise ValidationError(
-                f"conditioning_column {self.conditioning_column} out of range for d_z={data.d_z}"
-            )
-        zcol = data.z[:, self.conditioning_column]
-        if not np.all((zcol == 0.0) | (zcol == 1.0)):
-            raise ValidationError("conditioning column must be binary with values 0/1")
-        return zcol.astype(int)
+
+def _binary_column(data: LabeledDataset, column: int, where: str = "") -> np.ndarray:
+    """The 0/1 conditioning column `column` of a resample input as ints. An
+    input that no resampling with this column can use, whatever the rates,
+    sizes and seed, raises ValidationError; its message begins with `where`."""
+    if data.n_classes != 2:
+        raise ValidationError(f"{where}shift protocol requires binary labels in {{1, 2}}")
+    if not 0 <= column < data.d_z:
+        raise ValidationError(
+            f"{where}conditioning_column {column} out of range for d_z={data.d_z}"
+        )
+    zcol = data.z[:, column]
+    if not np.all((zcol == 0.0) | (zcol == 1.0)):
+        raise ValidationError(f"{where}conditioning column must be binary with values 0/1")
+    return zcol.astype(int)
 
 
 def _stratum_rows(data: LabeledDataset, zcol: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
@@ -266,7 +268,7 @@ def induce_conditional_shift(
     the feature law given (class, conditioning) is preserved across domains.
     The empirical conditioning marginal of the input is preserved in both.
     """
-    zcol = config.check_input(data)
+    zcol = _binary_column(data, config.conditioning_column)
     strata = _stratum_rows(data, zcol)
     p_z1 = float(np.mean(zcol == 1))
     rng = np.random.default_rng(config.seed)

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cpsm import LabeledDataset, SoftmaxParams, predict_proba
+from cpsm import LabeledDataset, SoftmaxParams, adjust_posterior, predict_proba
+from cpsm.em import M_STEP
+from cpsm.softmax import clamp_probs, fit_soft
 
 
 def finite_difference_gradient(func, x0: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -31,6 +33,37 @@ def finite_difference_gradient(func, x0: np.ndarray, step: float = 1e-6) -> np.n
 def zero_params(n_classes: int, n_features: int) -> SoftmaxParams:
     """The model whose every score is 0: uniform class probabilities."""
     return SoftmaxParams.from_weight_matrix(n_classes, np.zeros((n_classes - 1, 1 + n_features)))
+
+
+def row_wise_e_step(models, target, theta):
+    """Reference E-step: target responsibilities under `theta`, composed from
+    the public pieces on every target row. Both conditionals are scored row
+    by row and reweighted through the checked `adjust_posterior`."""
+    p_xz = clamp_probs(predict_proba(models.posterior_model, target.features("zx")))
+    p_z = clamp_probs(predict_proba(models.conditional_model, target.z))
+    q_z = clamp_probs(predict_proba(theta, target.z))
+    return adjust_posterior(p_xz, q_z, p_z)
+
+
+def row_wise_em(models, target, config, m_step=None):
+    """Reference EM that runs `row_wise_e_step` every round. `m_step(posterior,
+    theta)` is its M-step; by default it refits the shifted model on every
+    target row, the loop `fit_cpsm` ran before it grouped z into distinct
+    patterns. Returns the final theta, the posterior and the surrogate trace."""
+    if m_step is None:
+        def m_step(posterior, theta):
+            return fit_soft(target.z, posterior, M_STEP, init=theta)
+
+    theta = models.conditional_model
+    trace = []
+    for it in range(config.max_em_iters + 1):
+        if it > 0:
+            theta = m_step(result.posterior, theta)
+        result = row_wise_e_step(models, target, theta)
+        trace.append(float(np.log(result.row_normalizer).sum()))
+        if it > 0 and trace[-1] - trace[-2] < config.em_tolerance:
+            break
+    return theta, result.posterior, np.asarray(trace)
 
 
 def random_discrete_joint(rng: np.random.Generator) -> dict:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsm import ValidationError, adjust_posterior
-from cpsm.adjust import check_posterior
+from cpsm.adjust import RATIO_MAX, RATIO_MIN, _reweight, check_posterior
+from cpsm.softmax import clamp_probs
 
 from helpers import bayes_posterior_from_joint, random_discrete_joint
 
@@ -97,8 +98,10 @@ def test_non_stochastic_posterior_rejected():
         ([0.5, 0.5], r"must be an \(n, K>=2\) matrix"),
         ([[0.5, 0.5]] * 3, "3 rows, expected 2"),
         ([[1.5, -0.5], [0.5, 0.5]], r"entries must lie in \[0, 1\]"),
+        ([[math.nan, 1.0], [0.5, 0.5]], r"entries must lie in \[0, 1\]"),
+        ([[0.5, 0.5], [math.nan, math.nan]], r"entries must lie in \[0, 1\]"),
     ],
-    ids=["one-dimensional", "row-count", "entry-above-one"],
+    ids=["one-dimensional", "row-count", "entry-above-one", "nan-entry", "nan-row"],
 )
 def test_check_posterior_rejects(probs, message):
     with pytest.raises(ValidationError, match=message):
@@ -123,3 +126,22 @@ def test_extreme_denominators_survive_clamping():
     result = adjust_posterior(posterior, [[1.0, 1.0]], [[0.0, 1.0]])
     assert np.all(np.isfinite(result.posterior))
     assert result.posterior[0, 0] > 0.99
+
+
+def test_clamped_conditionals_never_reach_the_ratio_clip():
+    # `fit_cpsm` passes q / p of two clamped conditionals to `_reweight`
+    # without the floors and the clip. Even at the clamp corners, 1e-12 and
+    # 1 - 1e-12, that ratio lies strictly inside [RATIO_MIN, RATIO_MAX], so
+    # `adjust_posterior` gives the same bits on those inputs.
+    corners = clamp_probs(np.array([0.0, 1.0]))
+    assert corners.tolist() == [1e-12, 1.0 - 1e-12]
+    num = np.array([[a, b] for a in corners for b in corners])
+    den = num[::-1]
+    ratio = num / den
+    assert ratio.min() == corners[0] / corners[1] and ratio.max() == corners[1] / corners[0]
+    assert np.all((RATIO_MIN < ratio) & (ratio < RATIO_MAX))
+    posterior = np.full_like(num, 0.5)
+    kernel = _reweight(posterior, ratio)
+    checked = adjust_posterior(posterior, num, den)
+    assert np.array_equal(kernel.posterior, checked.posterior)
+    assert np.array_equal(kernel.row_normalizer, checked.row_normalizer)

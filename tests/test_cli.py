@@ -9,7 +9,7 @@ import pytest
 
 from cpsm import bench
 from cpsm.cli import main
-from cpsm.data import read_dataset_csv
+from cpsm.data import LabeledDataset, read_dataset_csv
 from cpsm.em import EmConfig
 from cpsm.errors import NumericalError, ValidationError
 from cpsm.metrics import MetricRow
@@ -29,6 +29,9 @@ def _read_metrics(path):
             )
             for r in reader
         ]
+
+
+_THREE_CLASSES = LabeledDataset(z=np.zeros((3, 1)), x=np.zeros((3, 1)), y=[1, 2, 3])
 
 
 def _write_json(path, doc):
@@ -358,6 +361,41 @@ def test_benchmark_records_failed_cells_and_continues(tmp_path, capsys):
     assert "run failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, whole, integer",
+    [("generate", {"n_source": 120.0}, {"n_source": 120}),
+     ("benchmark", {"grid": {"a": [0.3], "k": [1.0], "n": [2e3]}},
+      {"grid": {"a": [0.3], "k": [1.0], "n": [2000]}})],
+    ids=["generate-size", "benchmark-grid-size"],
+)
+def test_a_whole_float_integer_setting_writes_the_bytes_of_the_integer(tmp_path, command, whole,
+                                                                       integer):
+    # An integer setting given as a whole float is read as that integer,
+    # not rejected and not truncated.
+    def written(name, overrides):
+        if command == "generate":
+            assert main(["generate", _gen_config(tmp_path, name, **overrides)]) == 0
+            return [(tmp_path / name / f).read_bytes()
+                    for f in ("source.csv", "target.csv", "target_labels.csv")]
+        config = _bench_config(tmp_path, name, methods=["naive"], repetitions=1, **overrides)
+        assert main(["benchmark", config]) == 0
+        return [(tmp_path / f"{name}{f}").read_bytes() for f in (".csv", "_agg.csv")]
+
+    assert written("whole", whole) == written("integer", integer)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: bench.adapt("bogus", None, None, EmConfig()), "unknown method 'bogus'"),
+     (lambda: bench.run_single(_THREE_CLASSES, _THREE_CLASSES, ["naive"], EmConfig(), False),
+      "benchmark supports binary labels only")],
+    ids=["adapt-unknown-method", "run-single-three-classes"],
+)
+def test_library_runs_reject_an_unknown_method_and_three_classes(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
+
+
 def test_benchmark_config_missing_field_exits_2(tmp_path):
     config = _write_json(tmp_path / "bad.json", {"methods": ["naive"]})
     assert main(["benchmark", config]) == 2
@@ -558,18 +596,21 @@ _HALF_Z_CSV = "y,z1,x1\n1,0.0,0.5\n2,0.5,0.1\n"
         ({"kind": "resample", "base_rate": 1.5, "shift_delta": 0.0},
          "base_rate must lie in (0, 1)"),
         ({"kind": "resample", "input_csv": _THREE_LABELS_CSV},
-         "shift protocol requires binary labels"),
-        ({"kind": "resample", "input_csv": _HALF_Z_CSV}, "conditioning column must be binary"),
+         "{input_csv}: shift protocol requires binary labels"),
+        ({"kind": "resample", "input_csv": _HALF_Z_CSV},
+         "{input_csv}: conditioning column must be binary"),
     ],
     ids=["cond-prob-out-of-range", "base-rate-out-of-range", "three-labels", "half-in-z"],
 )
 def test_generate_rejects_an_unusable_generator_and_writes_nothing(tmp_path, capsys, overrides,
                                                                    message):
     if overrides.get("kind") == "resample":
-        # An `input_csv` given here is the text of the input file.
+        # An `input_csv` given here is the text of the input file, and the
+        # message names that file.
         input_csv = tmp_path / "input.csv"
         if "input_csv" in overrides:
             input_csv.write_text(overrides["input_csv"])
+            message = message.format(input_csv=input_csv)
         else:
             input_csv = _labeled_csv(tmp_path)
         doc = {"base_rate": 0.3, "shift_delta": 0.3, "n_source": 60, "n_target": 60,

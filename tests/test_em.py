@@ -13,7 +13,6 @@ from cpsm import (
     SynthConfig,
     UnlabeledDataset,
     ValidationError,
-    adjust_posterior,
     fit_cpsm,
     fit_mlls,
     generate_pair,
@@ -23,13 +22,15 @@ from cpsm import (
     params_to_dict,
 )
 from cpsm import em
-from cpsm.em import M_STEP, load_fit_json, save_fit_json
-from cpsm.softmax import FitConfig, clamp_probs, fit_hard, fit_soft, predict_proba
+from cpsm.em import load_fit_json, save_fit_json
+from cpsm.softmax import FitConfig, fit_hard, fit_soft, predict_proba
 
 from helpers import (
     GaussianGenConfig,
     bayes_posterior_from_joint,
     generate_gaussian_family,
+    row_wise_e_step,
+    row_wise_em,
     zero_params,
 )
 
@@ -62,17 +63,6 @@ def small_models(small_pair):
     )
 
 
-def _e_step(models, target, theta):
-    """Reference E-step: target responsibilities under `theta`, composed from
-    the public pieces. `_row_wise_em` runs it every round, and
-    `test_grouped_em_is_bitwise_row_wise_em_when_every_z_row_is_distinct`
-    ties it to `fit_cpsm` bit for bit."""
-    p_xz = clamp_probs(predict_proba(models.posterior_model, target.features("zx")))
-    p_z = clamp_probs(predict_proba(models.conditional_model, target.z))
-    q_z = clamp_probs(predict_proba(theta, target.z))
-    return adjust_posterior(p_xz, q_z, p_z)
-
-
 def test_e_step_prior_only_reduces_to_classic_update():
     # Empty conditioning block: the responsibilities must be the classic
     # prior-ratio rescaling of the source posteriors.
@@ -87,7 +77,7 @@ def test_e_step_prior_only_reduces_to_classic_update():
         conditional_model=params_from_prior(source_prior),
     )
     target = UnlabeledDataset(z=np.zeros((3, 0)), x=feats)
-    resp = _e_step(models, target, params_from_prior(target_prior)).posterior
+    resp = row_wise_e_step(models, target, params_from_prior(target_prior)).posterior
 
     p = predict_proba(posterior_model, feats)
     ratio = target_prior / source_prior
@@ -142,7 +132,7 @@ def test_e_step_matches_brute_force_on_discrete_joint():
         x=np.array([[float(x)] for x, _ in cells]),
     )
     models = SourceModels(posterior_model=posterior_model, conditional_model=conditional_model)
-    resp = _e_step(models, target, theta).posterior
+    resp = row_wise_e_step(models, target, theta).posterior
     expected = np.array([bayes_posterior_from_joint(q_joint, x, z) for x, z in cells])
     assert np.max(np.abs(resp - expected)) < 1e-12
 
@@ -322,21 +312,6 @@ def test_shift_recovery_beats_uncorrected_posteriors():
     assert cpsm_err < naive_err
 
 
-def _row_wise_em(models, target, config):
-    """Reference EM that refits and scores the shifted model on every target
-    row: the loop `fit_cpsm` ran before it grouped z into distinct patterns."""
-    theta = models.conditional_model
-    trace = []
-    for it in range(config.max_em_iters + 1):
-        if it > 0:
-            theta = fit_soft(target.z, result.posterior, M_STEP, init=theta)
-        result = _e_step(models, target, theta)
-        trace.append(float(np.log(result.row_normalizer).sum()))
-        if it > 0 and trace[-1] - trace[-2] < config.em_tolerance:
-            break
-    return theta, result.posterior, np.asarray(trace)
-
-
 def _shifted_pair(kind, seed, n=2000):
     config = SynthConfig(
         dataset_kind=kind, n_source=n, n_target=n, shift_slope=5.0, target_prior=0.05, seed=seed
@@ -350,7 +325,7 @@ def _shifted_pair(kind, seed, n=2000):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_grouped_em_matches_row_wise_em_on_discrete_z(seed):
     models, target = _shifted_pair("bernoulli_z", seed)
-    theta, posterior, trace = _row_wise_em(models, target, EmConfig())
+    theta, posterior, trace = row_wise_em(models, target, EmConfig())
     result = fit_cpsm(models, target, EmConfig())
     assert result.iterations_run == trace.size - 1
     assert np.max(np.abs(result.target_posterior - posterior)) <= 1e-6
@@ -359,7 +334,7 @@ def test_grouped_em_matches_row_wise_em_on_discrete_z(seed):
 
 def test_grouped_em_is_bitwise_row_wise_em_when_every_z_row_is_distinct():
     models, target = _shifted_pair("gaussian_z", 3)
-    theta, posterior, trace = _row_wise_em(models, target, EmConfig())
+    theta, posterior, trace = row_wise_em(models, target, EmConfig())
     result = fit_cpsm(models, target, EmConfig())
     assert np.array_equal(result.loglik_trace, trace)
     assert np.array_equal(result.target_posterior, posterior)
@@ -386,31 +361,28 @@ def _three_class_pair(discrete):
 
 
 @pytest.mark.parametrize("case", ["bernoulli_z", "gaussian_z", "three-discrete", "three-continuous"])
-def test_e_step_checked_once_is_bitwise_the_checked_e_step_every_round(case, monkeypatch):
-    # `fit_cpsm` checks its E-step inputs once and runs the unchecked kernel
-    # every round; the same loop with the public, checked `adjust_posterior`
-    # in every round gives the same fit bit for bit, for discrete and
-    # continuous z and for two and three classes.
+def test_e_step_checked_once_is_bitwise_the_checked_e_step_every_round(case):
+    # `fit_cpsm` scores both conditionals once per z pattern and passes their
+    # ratio to the unchecked kernel; the reference scores them on every row
+    # and runs the public, checked `adjust_posterior` in every round. With
+    # the same grouped M-step, the two give the same fit bit for bit, for
+    # discrete and continuous z and for two and three classes.
     if case.startswith("three"):
         models, target = _three_class_pair(case == "three-discrete")
     else:
         models, target = _shifted_pair(case, 1)
     config = EmConfig(max_em_iters=30)
     result = fit_cpsm(models, target, config)
-    checked = []
-
-    def every_round(p, num, den):
-        checked.append(True)
-        return adjust_posterior(p, num, den)
-
-    monkeypatch.setattr(em, "_reweight", every_round)
-    reference = fit_cpsm(models, target, config)
-    assert len(checked) == reference.iterations_run + 1 > 1
-    assert result.iterations_run == reference.iterations_run
-    assert np.array_equal(result.loglik_trace, reference.loglik_trace)
-    assert np.array_equal(result.target_posterior, reference.target_posterior)
-    assert np.array_equal(result.estimated_prior, reference.estimated_prior)
-    assert np.array_equal(result.theta_hat.weight_matrix(), reference.theta_hat.weight_matrix())
+    patterns = em._distinct_rows(target.z)
+    theta, posterior, trace = row_wise_em(
+        models, target, config, lambda post, init: em._fit_patterns(patterns, post, init)
+    )
+    assert trace.size > 2
+    assert result.iterations_run == trace.size - 1
+    assert np.array_equal(result.loglik_trace, trace)
+    assert np.array_equal(result.target_posterior, posterior)
+    assert np.array_equal(result.estimated_prior, posterior.mean(axis=0))
+    assert np.array_equal(result.theta_hat.weight_matrix(), theta.weight_matrix())
 
 
 def test_a_round_with_non_finite_ratios_raises_numerical_error(small_pair, small_models, monkeypatch):
@@ -422,7 +394,7 @@ def test_a_round_with_non_finite_ratios_raises_numerical_error(small_pair, small
     def nan_from_the_first_round(params, features):
         calls.append(params)
         probs = predict_proba(params, features)
-        # _source_probs scores the two source models; round 1 scores theta.
+        # p(y | z, x) on the rows, then p(y | z) and round 1's q per pattern.
         return np.full_like(probs, np.nan) if len(calls) > 2 else probs
 
     monkeypatch.setattr(em, "predict_proba", nan_from_the_first_round)
@@ -450,7 +422,7 @@ def test_one_row_target_matches_row_wise_em(small_models, small_pair):
     _, target = small_pair
     one = UnlabeledDataset(z=target.z[:1], x=target.x[:1])
     config = EmConfig(max_em_iters=20)
-    theta, posterior, trace = _row_wise_em(small_models, one, config)
+    theta, posterior, trace = row_wise_em(small_models, one, config)
     result = fit_cpsm(small_models, one, config)
     assert np.array_equal(result.loglik_trace, trace)
     assert np.array_equal(result.target_posterior, posterior)

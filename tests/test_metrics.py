@@ -45,6 +45,14 @@ def test_threshold_requires_binary():
         classify(np.array([[0.5, 0.5]]), 1.5)
 
 
+@pytest.mark.parametrize("threshold", [None, 0.5])
+def test_a_nan_posterior_row_is_rejected_not_labeled(threshold):
+    # Every comparison with NaN is false, so a NaN row used to pass the
+    # posterior check and come out as label 2.
+    with pytest.raises(ValidationError, match=r"entries must lie in \[0, 1\]"):
+        classify(np.array([[0.6, 0.4], [np.nan, np.nan]]), threshold)
+
+
 def test_threshold_half_agrees_with_argmax_off_boundary():
     rng = np.random.default_rng(4)
     p1 = rng.random(200)

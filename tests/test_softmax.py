@@ -200,6 +200,9 @@ def test_constant_soft_targets_fit_their_mean():
 def test_bad_target_rows_rejected():
     with pytest.raises(ValidationError, match="sum"):
         fit_soft(np.zeros((2, 1)), np.array([[0.7, 0.2], [0.5, 0.5]]), FitConfig())
+    # A NaN target row is bad input, not a non-finite objective.
+    with pytest.raises(ValidationError, match=r"entries must lie in \[0, 1\]"):
+        fit_soft(np.zeros((2, 1)), np.array([[np.nan, np.nan], [0.5, 0.5]]), FitConfig())
 
 
 def test_log_likelihood_fair_coin():

@@ -18,7 +18,9 @@ from cpsm import (
     induce_conditional_shift,
     predict_proba,
 )
-from cpsm.data import read_dataset_csv, read_labels_csv, write_dataset_csv, write_labels_csv
+from cpsm.data import (
+    as_float_matrix, read_dataset_csv, read_labels_csv, write_dataset_csv, write_labels_csv,
+)
 
 from helpers import (
     GaussianGenConfig,
@@ -128,6 +130,16 @@ def test_calibration_rejects_a_non_finite_slope(kind):
     for slope in (math.nan, math.inf):
         with pytest.raises(ValidationError, match="shift_slope"):
             calibrate_intercept(slope, 0.3, kind, 5)
+
+
+@pytest.mark.parametrize(
+    "d_z, z_dist, message",
+    [(-1, "bernoulli_z", "d_z must be >= 0"), (5, "uniform_z", "unknown z distribution 'uniform_z'")],
+    ids=["negative-d-z", "unknown-z-dist"],
+)
+def test_calibration_rejects_a_negative_d_z_or_an_unknown_z_dist(d_z, z_dist, message):
+    with pytest.raises(ValidationError, match=message):
+        calibrate_intercept(1.0, 0.3, z_dist, d_z)
 
 
 def test_gaussian_calibration_is_even_in_the_slope():
@@ -448,6 +460,18 @@ def test_shift_protocol_empty_stratum_is_named():
         induce_conditional_shift(data, config)
 
 
+def test_shift_protocol_skips_a_stratum_with_no_rows_to_draw():
+    # At base rate 0.01, each source stratum of about 10 rows rounds its
+    # class-1 count to 0 and draws no class-1 row at all.
+    data = _standin_data()
+    config = ShiftProtocolConfig(
+        base_rate=0.01, shift_delta=0.5, n_source=20, n_target=20, seed=2
+    )
+    source, target = induce_conditional_shift(data, config)
+    assert source.y.tolist() == [2] * 20
+    assert target.n_rows == 20 and 1 in target.y
+
+
 def test_shift_protocol_is_deterministic():
     data = _standin_data(n=5000)
     config = ShiftProtocolConfig(
@@ -551,8 +575,10 @@ def test_labels_that_are_not_whole_numbers_are_rejected(labels):
          "row mismatch: z has 2, x has 2, y has 3"),
         (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1))).features("x"),
          "unknown feature block 'x'"),
+        (lambda: as_float_matrix(np.zeros(3), "z"), "z must be a 2-D matrix, got ndim=1"),
     ],
-    ids=["labels-2d", "labels-empty", "label-zero", "z-x-rows", "features-y-rows", "unknown-block"],
+    ids=["labels-2d", "labels-empty", "label-zero", "z-x-rows", "features-y-rows", "unknown-block",
+         "matrix-1d"],
 )
 def test_dataset_faults_are_validation_errors(build, message):
     with pytest.raises(ValidationError, match=message):
