@@ -34,10 +34,11 @@ the one call plus the interpreter, numpy and, for a write, the arrays it
 writes. Every op but a read or a write also reports counts that do not
 depend on the machine: a generate call, how many times the intercept
 calibration evaluated its expectation, and over how many points in all; a
-fit or an em call, the objective evaluations (`softmax._objective` calls)
-and the solver iterations (the steps `softmax._newton` took), and for an
-em call also the EM rounds and the M-step fits (`fit_soft` calls from
-`em`); a grid call, the same counts over all of its fits. The counts come
+fit or an em call, the objective evaluations (`softmax._objective` calls),
+the Hessian builds (`softmax._gram` calls: one per Hessian at K = 2) and
+the solver iterations (the steps `softmax._newton` took), and for an em
+call also the EM rounds and the M-step fits (`fit_soft` calls from `em`);
+a grid call, the same counts over all of its fits. The counts come
 from a second, untimed run of the same call in the same process, with
 those functions wrapped, which must agree with the timed run bit for bit.
 
@@ -51,7 +52,12 @@ the EM posteriors and the grid's metrics are compared, not required equal:
 a case records whether each side's source and target arrays or metrics CSV
 equal those of the first side, and how far each side's weights, EM
 posterior or metrics lie from the first side's, as the largest absolute
-difference.
+difference. Next to each `speedup`, the ratio of the two sides' median
+seconds, a case gives what tells it from noise: `paired_speedups`, each
+round's baseline_s / src_s; `src_wins`, the rounds in which `src` took
+less time; and `baseline_iqr_s`, the interquartile range of the
+baseline's seconds. A read/write case gives them for its reads, each name
+prefixed with `read_`.
 
 The JSON result, with the machine it ran on, goes to standard output and,
 with `--out`, to a file. Its `sides` names each side by its role, `src` or
@@ -152,9 +158,11 @@ def counting(module, name, key, step=lambda result: 1):
     return {(module, name): wrapper}
 
 def solver_counters():
-    # The objective and the Newton solver where `fit_soft` and `fit_hard`
-    # look them up, and `fit_soft` where the EM's M-step looks it up.
+    # The objective, its Hessian sums and the Newton solver where `fit_soft`
+    # and `fit_hard` look them up, and `fit_soft` where the EM's M-step
+    # looks it up.
     return {**counting(softmax, "_objective", "objective_evaluations"),
+            **counting(softmax, "_gram", "hessian_builds"),
             **counting(softmax, "_newton", "solver_iterations", lambda wt: len(wt[1]) - 1),
             **counting(em, "fit_soft", "m_steps")}
 
@@ -313,6 +321,21 @@ def _summary(calls: list[dict], size_mb: float | None = None) -> dict:
     return summary
 
 
+def _paired(baseline: dict, src: dict, prefix: str = "") -> dict:
+    """From the two sides' summaries: `speedup`, the ratio of their median
+    seconds, and next to it what tells it from noise, each round's ratio
+    baseline_s / src_s in the order `_alternate` ran them, how many rounds
+    `src` won and the interquartile range of the baseline's seconds."""
+    pairs = list(zip(baseline["seconds"], src["seconds"]))
+    q1, q3 = np.percentile(baseline["seconds"], [25, 75])
+    return {
+        f"{prefix}speedup": round(baseline["median_s"] / src["median_s"], 2),
+        f"{prefix}paired_speedups": [round(b / s, 2) for b, s in pairs],
+        f"{prefix}src_wins": sum(s < b for b, s in pairs),
+        f"{prefix}baseline_iqr_s": round(float(q3 - q1), 4),
+    }
+
+
 def _case(op: str, args: dict, sides: dict, rounds: int, changed: str, fields: tuple,
           equal: tuple = (), diff: str | None = None, work: Path | None = None) -> dict:
     """The case of `op` on `args`, timed on every side. A side whose digests
@@ -342,7 +365,7 @@ def _case(op: str, args: dict, sides: dict, rounds: int, changed: str, fields: t
                 np.max(np.abs(arrays[1] - arrays[0]))
             )
     if "baseline" in sides:
-        case["speedup"] = round(case["baseline"]["median_s"] / case["src"]["median_s"], 2)
+        case.update(_paired(case["baseline"], case["src"]))
     return case
 
 
@@ -389,9 +412,7 @@ def csv_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
         case[name] = {op: _summary([c[op] for c in calls[name]], size_mb)
                       for op in ("read", "write")}
     if "baseline" in sides:
-        case["read_speedup"] = round(
-            case["baseline"]["read"]["median_s"] / case["src"]["read"]["median_s"], 2
-        )
+        case.update(_paired(case["baseline"]["read"], case["src"]["read"], "read_"))
     return case
 
 
@@ -401,7 +422,7 @@ def fit_case(family: str, n: int, block: str, sides: dict, work: Path, rounds: i
     return _case(
         "fit", {"family": family, "n": n, "block": block}, sides, rounds,
         f"fitted different {family} n={n} {block}",
-        ("solver_iterations", "objective_evaluations"), diff="weight", work=work,
+        ("solver_iterations", "objective_evaluations", "hessian_builds"), diff="weight", work=work,
     )
 
 
@@ -410,7 +431,8 @@ def em_case(family: str, n: int, sides: dict, work: Path, rounds: int) -> dict:
     return _case(
         "em", {"family": family, "n": n, "max_em_iters": EM_ROUNDS}, sides, rounds,
         f"fitted different {family} n={n} EMs",
-        ("em_rounds", "m_steps", "solver_iterations", "objective_evaluations", "final_surrogate"),
+        ("em_rounds", "m_steps", "solver_iterations", "objective_evaluations", "hessian_builds",
+         "final_surrogate"),
         diff="posterior", work=work,
     )
 
@@ -422,7 +444,7 @@ def grid_case(sides: dict, work: Path, rounds: int) -> dict:
             "methods": list(GRID_METHODS), "max_em_iters": GRID_EM_ROUNDS}
     return _case(
         "grid", args, sides, rounds, "wrote different grid metrics",
-        ("m_steps", "solver_iterations", "objective_evaluations"),
+        ("m_steps", "solver_iterations", "objective_evaluations", "hessian_builds"),
         equal=(("metrics_csv_equals_first_side", "digest"),), diff="metric", work=work,
     )
 

@@ -10,11 +10,12 @@ step, and a backtracking Armijo line search, so the objective trace is
 non-decreasing by construction and a warm start can only be improved.
 
 Solver contract: `_newton(objective, w0, config)` ascends a callable
-`w -> (value, gradient, Hessian)` over the (K-1, 1+d) weight block.
-`_objective` is the one objective: one branch per class count computes
-its value, gradient and Hessian from the same arrays, and one block applies
-the ridge. `log_likelihood` and its gradient call it with `hessian=False`,
-so that they build no Hessian.
+`w -> (value, gradient, hessian)` over the (K-1, 1+d) weight block, where
+`hessian()` builds the Hessian from that evaluation's arrays. `_objective`
+is the one objective: one branch per class count computes its value and
+gradient and keeps what its Hessian reads. `_newton` builds one Hessian per
+step it solves, so a rejected line-search trial, the last iterate and
+`log_likelihood` and its gradient build none.
 """
 from __future__ import annotations
 
@@ -111,15 +112,6 @@ class FitConfig:
             )
 
 
-def _check_features(features, n_features: int) -> np.ndarray:
-    feats = as_float_matrix(features, "features")
-    if feats.shape[1] != n_features:
-        raise ValidationError(
-            f"feature dimension mismatch: model expects {n_features}, got {feats.shape[1]}"
-        )
-    return feats
-
-
 def _shifted_scores(head: np.ndarray) -> np.ndarray:
     """The scores [head | 0] less their row max; `head` holds the (n, K-1)
     scores of the non-reference classes."""
@@ -142,7 +134,11 @@ def _softmax(head: np.ndarray) -> np.ndarray:
 
 def predict_proba(params: SoftmaxParams, features) -> np.ndarray:
     """Row-stochastic (n, K) class probabilities."""
-    feats = _check_features(features, params.n_features)
+    feats = as_float_matrix(features, "features")
+    if feats.shape[1] != params.n_features:
+        raise ValidationError(
+            f"feature dimension mismatch: model expects {params.n_features}, got {feats.shape[1]}"
+        )
     return _softmax(feats @ params.slopes.T + params.intercepts)
 
 
@@ -170,26 +166,26 @@ def _two_class_log_probs(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(np.maximum(-scores, 0.0) + soft), -(np.maximum(scores, 0.0) + soft)
 
 
-def _objective(w, aug, targets, weights, l2, hessian=True):
+def _objective(w, aug, targets, weights, l2):
     """Weighted soft-target log-likelihood less the ridge on slopes, its
-    gradient and, unless `hessian` is False, its Hessian in `w`: returns
-    (value, gradient, Hessian or None). The Hessian is -sum_i weights_i
-    (diag p_i - p_i p_i^T) kron a_i a_i^T, less the ridge, over the
-    flattened (K-1, 1+d) block, a_i the augmented row. Two classes run on
-    flat score vectors. For K > 2, p is `_softmax`'s bit for bit, and log p
-    its log or, below the smallest normal, where p has lost bits or is 0,
-    the max-shifted score less the log of the row's sum. Neither case
-    clamps: a clamped value would be flat where the gradient is not."""
-    h = None
+    gradient and a function of no arguments that builds its Hessian in `w`
+    from this evaluation's arrays: returns (value, gradient, hessian). The
+    Hessian is -sum_i weights_i (diag p_i - p_i p_i^T) kron a_i a_i^T, less
+    the ridge, over the flattened (K-1, 1+d) block, a_i the augmented row.
+    Two classes run on flat score vectors. For K > 2, p is `_softmax`'s bit
+    for bit, and log p its log or, below the smallest normal, where p has
+    lost bits or is 0, the max-shifted score less the log of the row's sum.
+    Neither case clamps: a clamped value would be flat where the gradient
+    is not. The builder keeps only what its sums read: log p1 p2, or p."""
     if targets.shape[1] == 2:
         log_p1, log_p2 = _two_class_log_probs(aug @ w[0])
         value = float(weights @ (targets[:, 0] * log_p1 + targets[:, 1] * log_p2))
         g = (((targets[:, 0] - np.exp(log_p1)) * weights) @ aug)[None, :]
-        if hessian:
-            # p1 p2 from the logs keeps its precision where p1 is near 1.
-            log_p1p2 = log_p1 + log_p2
-            del log_p1, log_p2  # freed before the Hessian's sums, which do not read them
-            h = -_gram(aug, weights * np.exp(log_p1p2))
+        # p1 p2 from the logs keeps its precision where p1 is near 1.
+        log_p1p2 = log_p1 + log_p2
+
+        def likelihood_hessian():
+            return -_gram(aug, weights * np.exp(log_p1p2))
     else:
         log_probs = _shifted_scores(aug @ w.T)
         probs = np.exp(log_probs)
@@ -199,25 +195,30 @@ def _objective(w, aug, targets, weights, l2, hessian=True):
         np.log(probs, out=log_probs, where=probs >= _TINY)
         value = float(np.sum(weights[:, None] * targets * log_probs))
         g = ((targets[:, :-1] - probs[:, :-1]) * weights[:, None]).T @ aug
-        if hessian:
-            del log_probs, total  # freed before the sums, which do not read them
+
+        def likelihood_hessian():
             # Block (k, j) is -sum_i weights_i p_ik (delta_kj - p_ij) a_i a_i^T.
             width = aug.shape[1]
-            h = np.empty((g.size, g.size))
-            for k in range(g.shape[0]):
+            h = np.empty((w.size, w.size))
+            for k in range(w.shape[0]):
                 wp = weights * probs[:, k]
-                for j in range(k, g.shape[0]):
+                for j in range(k, w.shape[0]):
                     block = -_gram(aug, wp * ((j == k) - probs[:, j]))
                     h[k * width:(k + 1) * width, j * width:(j + 1) * width] = block
                     h[j * width:(j + 1) * width, k * width:(k + 1) * width] = block.T
+            return h
     if l2 > 0:
         value -= 0.5 * l2 * float(np.sum(w[:, 1:] ** 2))
         g[:, 1:] -= l2 * w[:, 1:]
-        if hessian:
+
+    def hessian():
+        h = likelihood_hessian()
+        if l2 > 0:
             ridge = np.full(w.shape, l2)
             ridge[:, 0] = 0.0
             h[np.diag_indices_from(h)] -= ridge.ravel()
-    return value, g, h
+        return h
+    return value, g, hessian
 
 
 def _line_search(objective, w, obj, g, direction):
@@ -235,7 +236,7 @@ def _line_search(objective, w, obj, g, direction):
         result = objective(cand)
         if np.isfinite(result[0]) and result[0] >= obj + _ARMIJO_C1 * step * slope:
             return cand, result
-        step *= 0.5
+        step, result = 0.5 * step, None  # a rejected trial's builder is freed here
     return None
 
 
@@ -253,27 +254,55 @@ def _newton_direction(g: np.ndarray, h: np.ndarray) -> np.ndarray | None:
 
 def _newton(objective, w0: np.ndarray, config: FitConfig):
     """Monotone Newton ascent of a concave `objective`, a callable w ->
-    (value, gradient, Hessian), by `_line_search` along the floored Newton
+    (value, gradient, hessian), by `_line_search` along the floored Newton
     direction; it stops once the largest weight move is below `tolerance`,
-    or when no step ascends. Returns (weights, objective trace)."""
+    or when no step ascends. It calls `hessian()` once per step it solves,
+    at the current point only. Returns (weights, objective trace)."""
     w = w0.copy()
-    obj, g, h = objective(w)
+    obj, g, hessian = objective(w)
     if not np.isfinite(obj):
         raise NumericalError("non-finite objective at initialization")
     trace = [obj]
     for _ in range(config.max_iters):
-        direction = _newton_direction(g, h)
-        accepted = None if direction is None else _line_search(objective, w, obj, g, direction)
+        direction = _newton_direction(g, hessian())
+        # The builder's arrays are freed before the line search's trials.
+        hessian = accepted = None
+        if direction is not None:
+            accepted = _line_search(objective, w, obj, g, direction)
         if accepted is None:
             trace.append(obj)
             break
-        cand, (obj, g, h) = accepted
+        cand, (obj, g, hessian) = accepted
         delta = float(np.max(np.abs(cand - w)))
         w = cand
         trace.append(obj)
         if delta < config.tolerance:
             break
     return w, trace
+
+
+def _problem(features, targets, model: SoftmaxParams | None = None, sample_weights=None):
+    """Validated (w0, aug, targets, weights) for `_objective`: w0 is the
+    weight block of `model`, of the problem's shape, or zeros without one,
+    and every row weighs 1 unless `sample_weights` says otherwise."""
+    feats = as_float_matrix(features, "features")
+    t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
+    n, d = feats.shape
+    weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
+    if weights.shape != (n,):
+        raise ValidationError("sample_weights length must match rows")
+    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        raise ValidationError("sample_weights must be finite and nonnegative")
+    if model is None:
+        w0 = np.zeros((t.shape[1] - 1, 1 + d))
+    elif (model.n_classes, model.n_features) != (t.shape[1], d):
+        raise ValidationError(
+            f"model shape ({model.n_classes}, {model.n_features}) does not match "
+            f"problem ({t.shape[1]}, {d})"
+        )
+    else:
+        w0 = model.weight_matrix()
+    return w0, _augment(feats), t, weights
 
 
 def fit_soft(
@@ -289,27 +318,9 @@ def fit_soft(
     With one-hot targets this is ordinary maximum likelihood on hard labels.
     `init` warm-starts the solver.
     """
-    feats = as_float_matrix(features, "features")
-    t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
-    n, d = feats.shape
-    n_classes = t.shape[1]
-    weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValidationError("sample_weights length must match rows")
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-        raise ValidationError("sample_weights must be finite and nonnegative")
-    if init is None:
-        w0 = np.zeros((n_classes - 1, 1 + d))
-    else:
-        if init.n_classes != n_classes or init.n_features != d:
-            raise ValidationError(
-                f"warm start shape ({init.n_classes}, {init.n_features}) does not match "
-                f"problem ({n_classes}, {d})"
-            )
-        w0 = init.weight_matrix()
-    aug = _augment(feats)
+    w0, aug, t, weights = _problem(features, targets, init, sample_weights)
     w, _ = _newton(lambda w: _objective(w, aug, t, weights, config.l2_penalty), w0, config)
-    return SoftmaxParams.from_weight_matrix(n_classes, w)
+    return SoftmaxParams.from_weight_matrix(t.shape[1], w)
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -341,26 +352,14 @@ def fit_hard(data: LabeledDataset, config: FitConfig, feature_block: str = "zx")
     return fit_soft(data.features(feature_block), one_hot(data.y, data.n_classes), config)
 
 
-def _unit_weight_problem(params: SoftmaxParams, features, targets):
-    """Validated (w, aug, targets, weights) for the solver's objective with
-    every row weighted 1."""
-    feats = _check_features(features, params.n_features)
-    t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
-    if t.shape[1] != params.n_classes:
-        raise ValidationError(
-            f"targets have {t.shape[1]} classes, model has {params.n_classes}"
-        )
-    return params.weight_matrix(), _augment(feats), t, np.ones(feats.shape[0])
-
-
 def log_likelihood(params: SoftmaxParams, features, targets) -> float:
     """Soft-target log-likelihood of the model on the given rows: the
     solver's objective with unit weights and no ridge."""
-    return _objective(*_unit_weight_problem(params, features, targets), 0.0, hessian=False)[0]
+    return _objective(*_problem(features, targets, params), 0.0)[0]
 
 
 def log_likelihood_grad(params: SoftmaxParams, features, targets) -> tuple[np.ndarray, np.ndarray]:
     """Analytic gradient of `log_likelihood` as (d_intercepts, d_slopes): the
     solver's gradient with unit weights and no ridge."""
-    g = _objective(*_unit_weight_problem(params, features, targets), 0.0, hessian=False)[1]
+    g = _objective(*_problem(features, targets, params), 0.0)[1]
     return g[:, 0], g[:, 1:]

@@ -1,6 +1,6 @@
 """scripts/bench_layers.py end to end on small inputs: with a baseline, its
-cases keep the key trees of the committed BENCH_*.json files, and a baseline
-that writes other CSV bytes stops the run."""
+cases keep the key trees of the committed BENCH_solver_contract.json, and a
+baseline that writes other CSV bytes stops the run."""
 import importlib.util
 import json
 import shutil
@@ -31,19 +31,17 @@ def _tree(value):
 
 
 def _committed_trees():
-    """The key tree of each op's first case in the committed files."""
+    """The key tree of each op's first case in the committed file."""
     trees = {}
-    for name, ops in (("BENCH_calibration.json", ("read/write", "generate")),
-                      ("BENCH_em_round.json", ("fit", "em"))):
-        for case in json.loads((ROOT / name).read_text(encoding="utf-8"))["cases"]:
-            if case["op"] in ops:
-                trees.setdefault(case["op"], _tree(case))
+    committed = json.loads((ROOT / "BENCH_solver_contract.json").read_text(encoding="utf-8"))
+    for case in committed["cases"]:
+        trees.setdefault(case["op"], _tree(case))
     return trees
 
 
 def test_a_run_against_a_baseline_keeps_the_committed_key_trees(tmp_path, monkeypatch, capsys):
     out = tmp_path / "layers.json"
-    argv = ["--n", "300", "--rounds", "1", "--ops", "csv", "generate", "fit", "em",
+    argv = ["--n", "300", "--rounds", "2", "--ops", "csv", "generate", "fit", "em",
             "--baseline", str(ROOT / "src"), "--out", str(out)]
     assert _main(argv, monkeypatch) == 0
     result = json.loads(out.read_text(encoding="utf-8"))
@@ -65,7 +63,13 @@ def test_a_run_against_a_baseline_keeps_the_committed_key_trees(tmp_path, monkey
             elif key.startswith("max_abs_"):
                 assert value == 0.0
         if case["op"] in ("fit", "em"):
-            assert case["src"]["objective_evaluations"] == case["baseline"]["objective_evaluations"]
+            for key in ("objective_evaluations", "hessian_builds"):
+                assert case["src"][key] == case["baseline"][key]
+        # The paired fields hold one ratio per round and count the rounds src won.
+        prefix = "read_" if case["op"] == "read/write" else ""
+        assert len(case[f"{prefix}paired_speedups"]) == 2
+        assert case[f"{prefix}src_wins"] in (0, 1, 2)
+        assert case[f"{prefix}baseline_iqr_s"] >= 0.0
         if case["op"] == "generate":
             assert case["src"]["calibration_evaluations"] > 0
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -433,7 +434,7 @@ def test_hessian_matches_finite_differences_of_the_gradient(n_classes, l2):
         def grad(flat):
             return _objective(flat.reshape(shape), aug, targets, weights, l2)[1].ravel()
 
-        hess = _objective(flat0.reshape(shape), aug, targets, weights, l2)[2]
+        hess = _objective(flat0.reshape(shape), aug, targets, weights, l2)[2]()
         assert hess.shape == (flat0.size, flat0.size)
         assert np.max(np.abs(hess - hess.T)) <= 1e-12 * np.max(np.abs(hess))
         numeric = np.column_stack([
@@ -527,7 +528,7 @@ def test_objective_memory_is_below_one_copy_of_the_rows(n_classes):
     w = 0.1 * rng.standard_normal((n_classes - 1, 1 + d))
     tracemalloc.start()
     try:
-        _objective(w, aug, targets, weights, 1e-6)
+        _objective(w, aug, targets, weights, 1e-6)[2]()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -541,7 +542,7 @@ def test_newton_stops_cleanly_where_the_hessian_underflows():
     # this suite's settings) and no NaN.
     aug, targets = _augment(np.zeros((1, 0))), np.array([[0.5, 0.5]])
     objective = lambda w: _objective(w, aug, targets, np.ones(1), 0.0)
-    assert np.all(objective(np.array([[800.0]]))[2] == 0.0)
+    assert np.all(objective(np.array([[800.0]]))[2]() == 0.0)
     w, trace = _newton(objective, np.array([[800.0]]), FitConfig(l2_penalty=0.0))
     assert np.all(np.isfinite(w)) and np.all(np.diff(trace) >= 0.0)
 
@@ -599,5 +600,85 @@ def test_log_likelihood_builds_no_hessian(n_classes, monkeypatch):
     assert log_likelihood(params, feats, targets) == full[0]
     gi, gs = log_likelihood_grad(params, feats, targets)
     assert np.array_equal(np.hstack([gi[:, None], gs]), full[1])
-    value, grad, _ = _objective(w, aug, targets, weights, 1e-3, hessian=False)
+    value, grad, hessian = _objective(w, aug, targets, weights, 1e-3)
     assert value == ridged[0] and np.array_equal(grad, ridged[1])
+    with pytest.raises(AssertionError, match="the Hessian was built"):
+        hessian()
+
+
+def _far_start(n_classes):
+    """Features, soft targets and a warm start far from their optimum, from
+    which the line search rejects trials."""
+    rng = np.random.default_rng(43)
+    feats = rng.standard_normal((80, 3))
+    targets = rng.random((80, n_classes)) + 0.05
+    targets /= targets.sum(axis=1, keepdims=True)
+    init = SoftmaxParams.from_weight_matrix(
+        n_classes, 8.0 * rng.standard_normal((n_classes - 1, 4))
+    )
+    return feats, targets, init
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_newton_builds_one_hessian_per_step_it_solves(n_classes, monkeypatch):
+    # From a far start the line search rejects trials. Only the points whose
+    # step is solved build a Hessian, (K-1)K/2 `_gram` sums each: no rejected
+    # trial and not the last iterate. The log-likelihood routes build none.
+    feats, targets, init = _far_start(n_classes)
+    counts = {"_gram": 0, "_newton_direction": 0, "_objective": 0}
+
+    def counted(name):
+        fn = getattr(softmax, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(softmax, name, counted(name))
+    fitted = fit_soft(feats, targets, FitConfig(), init=init)
+    # Each search accepts at most one trial, so more evaluations than the
+    # start plus one per search means some trial was rejected.
+    assert counts["_objective"] > 1 + counts["_newton_direction"] > 2
+    assert counts["_gram"] == counts["_newton_direction"] * (n_classes - 1) * n_classes // 2
+    counts["_gram"] = 0
+    log_likelihood(fitted, feats, targets)
+    log_likelihood_grad(fitted, feats, targets)
+    assert counts["_gram"] == 0
+
+
+@pytest.mark.parametrize("route", ["fit_soft", "log_likelihood", "log_likelihood_grad"])
+@pytest.mark.parametrize("n_classes, n_features", [(3, 2), (2, 3)], ids=["classes", "features"])
+def test_a_model_of_another_shape_is_rejected_naming_both(route, n_classes, n_features):
+    # The problem has 2 classes and 2 features; the model differs in one.
+    feats, targets = np.zeros((4, 2)), np.full((4, 2), 0.5)
+    model = SoftmaxParams.from_weight_matrix(n_classes, np.zeros((n_classes - 1, 1 + n_features)))
+    calls = {
+        "fit_soft": lambda: fit_soft(feats, targets, FitConfig(), init=model),
+        "log_likelihood": lambda: log_likelihood(model, feats, targets),
+        "log_likelihood_grad": lambda: log_likelihood_grad(model, feats, targets),
+    }
+    message = f"model shape ({n_classes}, {n_features}) does not match problem (2, 2)"
+    with pytest.raises(ValidationError) as caught:
+        calls[route]()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_no_hessian_builder_lives_on_into_the_next_evaluation(n_classes, monkeypatch):
+    # A builder holds arrays of the rows (log p1 p2, or p). Neither the
+    # current point's builder, once built, nor a rejected trial's may stay
+    # alive while the line search evaluates its next trial.
+    feats, targets, init = _far_start(n_classes)
+    objective, builders, alive = softmax._objective, [], []
+
+    def tracked(*args):
+        alive.append(sum(ref() is not None for ref in builders))
+        value, grad, hessian = objective(*args)
+        builders.append(weakref.ref(hessian))
+        return value, grad, hessian
+
+    monkeypatch.setattr(softmax, "_objective", tracked)
+    fit_soft(feats, targets, FitConfig(), init=init)
+    assert len(alive) > 2 and alive == [0] * len(alive)
