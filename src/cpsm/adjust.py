@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import as_float_matrix
 from .errors import NumericalError, ValidationError
 
 RATIO_MIN = 1e-12
@@ -35,11 +36,11 @@ def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
 
 
 def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
-    """Validate an (n, K) row-stochastic probability matrix, with n equal to
-    `n_rows` when given. A NaN fails every test."""
-    p = np.asarray(probs, dtype=float)
-    if p.ndim != 2 or p.shape[1] < 2:
-        raise ValidationError(f"{name} must be an (n, K>=2) matrix")
+    """Validate an (n, K) row-stochastic probability matrix, read by
+    `as_float_matrix`, with n equal to `n_rows` when given."""
+    p = as_float_matrix(probs, name)
+    if p.shape[1] < 2:
+        raise ValidationError(f"{name} must hold K >= 2 classes, got {p.shape[1]}")
     if n_rows is not None and p.shape[0] != n_rows:
         raise ValidationError(f"{name}: {p.shape[0]} rows, expected {n_rows}")
     if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
@@ -71,14 +72,12 @@ def adjust_posterior(source_posterior, numerator, denominator) -> AdjustResult:
     surrogate that EM must not decrease.
     """
     p = check_posterior(source_posterior, "source_posterior")
-    num = np.asarray(numerator, dtype=float)
-    den = np.asarray(denominator, dtype=float)
+    num = as_float_matrix(numerator, "numerator")
+    den = as_float_matrix(denominator, "denominator")
     if num.shape != p.shape or den.shape != p.shape:
         raise ValidationError(
             f"ratio shapes {num.shape} and {den.shape} do not match posterior shape {p.shape}"
         )
-    if not (np.all(np.isfinite(num)) and np.all(np.isfinite(den))):
-        raise ValidationError("ratio matrices must be finite")
     if np.any(num < 0) or np.any(den < 0):
         raise ValidationError("ratio matrices must be nonnegative")
     ratio = np.maximum(num, RATIO_MIN) / np.maximum(den, RATIO_MIN)

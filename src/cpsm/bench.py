@@ -9,7 +9,6 @@ its data is recorded as a row with NaN metrics and the sweep continues.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import sys
 import time
@@ -20,7 +19,7 @@ import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset, _write_blocks, read_labeled_csv
 from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
-from .errors import CpsmError, ValidationError, json_number
+from .errors import CpsmError, ValidationError, check_integers, document_errors, json_number
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
 from .softmax import FitConfig, SoftmaxParams, fit_hard
 from .synth import (
@@ -48,18 +47,6 @@ _KINDS = {
     "synthetic": (SynthConfig, ("target_prior", "shift_slope", "n_source", "n_target", "seed")),
     "resample": (ShiftProtocolConfig, ("base_rate", "shift_delta", "n_source", "n_target", "seed")),
 }
-
-
-@contextlib.contextmanager
-def _config_errors(what: str):
-    """Report a key missing from a JSON config, or a value of the wrong type
-    or form, as a ValidationError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ValidationError(f"{what} missing field: {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{what} malformed: {exc}") from None
 
 
 _JSON_TYPES = {dict: "object", list: "list", bool: "boolean", str: "string"}
@@ -143,27 +130,27 @@ class Generator:
 def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
     """Read and check a generator block, which may also hold the keys in
     `extra`. With `grid`, each benchmark run supplies the per-run fields,
-    and the block's own values for them are ignored."""
-    with _config_errors("benchmark config" if grid else "generation config"):
-        kind = _as_json(doc, dict, "the generator").get("kind", "synthetic")
-        if kind not in _KINDS:
-            raise ValidationError(f"unknown generator kind {kind!r}")
-        cls, run_fields = _KINDS[kind]
-        extra = ("kind", "input_csv", *extra) if kind == "resample" else ("kind", *extra)
-        settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
-        base = None
-        if kind == "resample":
-            path = _read("input_csv", doc["input_csv"], str)
-            base = read_labeled_csv(path, "resample input")
-            # The column is a block setting, so one check serves every run.
-            column = settings.get("conditioning_column", cls.conditioning_column)
-            _binary_column(base, column, f"{path}: ")
+    and the block's own values for them are ignored. Each caller reports a
+    fault of the block's form by `document_errors`."""
+    kind = _as_json(doc, dict, "the generator").get("kind", "synthetic")
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown generator kind {kind!r}")
+    cls, run_fields = _KINDS[kind]
+    extra = ("kind", "input_csv", *extra) if kind == "resample" else ("kind", *extra)
+    settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
+    base = None
+    if kind == "resample":
+        path = _read("input_csv", doc["input_csv"], str)
+        base = read_labeled_csv(path, "resample input")
+        # The column is a block setting, so one check serves every run.
+        column = settings.get("conditioning_column", cls.conditioning_column)
+        _binary_column(base, column, f"{path}: ")
     return Generator(kind, settings, base)
 
 
 def parse_generation(doc: dict) -> tuple[Generator, str]:
     """A `cpsm generate` config: its generator block and output directory."""
-    with _config_errors("generation config"):
+    with document_errors("generation config"):
         generator = parse_generator(doc, extra=("output_dir",))
         return generator, _read("output_dir", doc.get("output_dir", "."), str)
 
@@ -199,8 +186,7 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ValidationError(f"unknown method {m!r}, expected one of {METHODS}")
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
+        check_integers(vars(self), repetitions=1)
         for _, run in self.runs():
             self.generator.config(**run)
 
@@ -217,7 +203,7 @@ class ExperimentConfig:
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     """Parse and validate the benchmark JSON document, including the
     generator config of every run."""
-    with _config_errors("benchmark config"):
+    with document_errors("benchmark config"):
         return ExperimentConfig(
             generator=parse_generator(doc["generator"], grid=True),
             **config_fields(ExperimentConfig, doc, supplied=("generator",)),

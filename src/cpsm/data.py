@@ -20,14 +20,17 @@ import numpy as np
 from .errors import ValidationError
 
 
-def as_float_matrix(arr, name: str) -> np.ndarray:
-    """`arr` as a 2-D float matrix with finite entries."""
+def as_float_matrix(arr, name: str, rank: int | None = 2) -> np.ndarray:
+    """`arr` as a float array of `rank` dimensions (None: any rank) with finite
+    entries, uncopied if it is one: the rule of every public numeric input. A
+    string, ragged rows, 10**400, NaN or inf raises ValidationError."""
+    article, noun = {1: ("a", "vector"), 2: ("a", "matrix")}.get(rank, ("an", "array"))
     try:
         out = np.asarray(arr, dtype=float)
-    except (TypeError, ValueError):  # strings, ragged rows
-        raise ValidationError(f"{name} must be a matrix of numbers") from None
-    if out.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D matrix, got ndim={out.ndim}")
+    except (TypeError, ValueError, OverflowError):  # strings, ragged rows, 10**400
+        raise ValidationError(f"{name} must be {article} {noun} of numbers") from None
+    if rank is not None and out.ndim != rank:
+        raise ValidationError(f"{name} must be a {rank}-D {noun}, got ndim={out.ndim}")
     if out.size and not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite values")
     return out
@@ -38,7 +41,11 @@ _MAX_LABEL = int(np.iinfo(int).max)
 
 
 def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
-    y = np.asarray(arr)
+    """`arr` as a 1-D int vector of labels >= 1, or ValidationError naming `name`."""
+    try:
+        y = np.asarray(arr)
+    except ValueError:  # ragged rows
+        raise ValidationError(f"{name} must be integers") from None
     if y.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D vector, got ndim={y.ndim}")
     if y.size == 0:

@@ -35,9 +35,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adjust import _reweight
-from .data import UnlabeledDataset, read_json_object
-from .errors import ValidationError, check_integers, check_reals, json_number
+from .adjust import _reweight, check_posterior
+from .data import UnlabeledDataset, as_float_matrix, read_json_object
+from .errors import ValidationError, check_integers, check_reals, document_errors, json_number
 from .softmax import (
     FitConfig,
     SoftmaxParams,
@@ -83,8 +83,8 @@ class EmConfig:
     em_tolerance: float = 1e-8
 
     def __post_init__(self):
-        check_integers(self, max_em_iters=0)
-        check_reals(self, "em_tolerance")
+        check_integers(vars(self), max_em_iters=0)
+        check_reals(vars(self), "em_tolerance")
         if not 0.0 < self.em_tolerance < math.inf:
             raise ValidationError(
                 f"em_tolerance must be positive and finite, got {self.em_tolerance}"
@@ -190,13 +190,10 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
 
 
 def params_from_prior(prior) -> SoftmaxParams:
-    """Intercept-only model whose probabilities equal the given prior."""
-    p = np.asarray(prior, dtype=float)
-    if p.ndim != 1 or p.shape[0] < 2:
-        raise ValidationError("prior must be a vector of length >= 2")
-    if abs(float(p.sum()) - 1.0) > 1e-9 or np.any(p < 0):
-        raise ValidationError("prior must be nonnegative and sum to 1 within 1e-9")
-    p = clamp_probs(p)
+    """Intercept-only model whose probabilities equal the given prior: a
+    vector that `check_posterior` accepts as a one-row posterior."""
+    row = as_float_matrix(prior, "prior", rank=1)[None, :]
+    p = clamp_probs(check_posterior(row, "prior")[0])
     intercepts = np.log(p[:-1]) - np.log(p[-1])
     return SoftmaxParams.from_weight_matrix(p.shape[0], intercepts[:, None])
 
@@ -243,19 +240,13 @@ def params_from_dict(doc: dict) -> SoftmaxParams:
     """The model of a `params_to_dict` document. A missing field, or one of
     the wrong type, form or size, raises ValidationError; the integer fields
     are read by the config files' JSON-number rule."""
-    try:
-        n_classes = json_number("n_classes", doc["n_classes"], int)
-        n_features = json_number("n_features", doc["n_features"], int)
+    with document_errors("model document"):
         return SoftmaxParams(
-            n_classes=n_classes,
-            n_features=n_features,
-            intercepts=np.asarray(doc["intercepts"], dtype=float),
-            slopes=np.asarray(doc["slopes"], dtype=float).reshape(n_classes - 1, n_features),
+            n_classes=json_number("n_classes", doc["n_classes"], int),
+            n_features=json_number("n_features", doc["n_features"], int),
+            intercepts=doc["intercepts"],
+            slopes=doc["slopes"],
         )
-    except KeyError as exc:
-        raise ValidationError(f"missing field in model document: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed model document: {exc}") from None
 
 
 def fit_to_dict(fit: CpsmFit) -> dict:
@@ -276,9 +267,11 @@ def save_fit_json(path, fit: CpsmFit) -> None:
 
 def load_fit_json(path) -> dict:
     """The document `save_fit_json` wrote; a file that is not a JSON object
-    of this format version raises ValidationError."""
+    of this format version raises ValidationError. The version is read by
+    the config files' JSON-number rule, so `true` is no version 1."""
     doc = read_json_object(path)
-    version = doc.get("format_version")
+    with document_errors(f"{path}: fit document"):
+        version = json_number("format_version", doc["format_version"], int)
     if version != FIT_FORMAT_VERSION:
         raise ValidationError(f"unsupported fit document version: {version!r}")
     return doc

@@ -1,11 +1,13 @@
-"""Exception classes shared across the package, the number checks of the
-config classes, and the rule that reads a number from a JSON document.
+"""Exception classes shared across the package, the number rule of configs
+and scalar arguments, and the two rules of JSON documents: how a number is
+read from one, and the one wrapper that reports its faults as ValidationError.
 
 The CLI maps these onto distinct exit codes, so code that detects a bad
 input should raise ValidationError and code that detects a numerical
 breakdown (non-finite objective, zero normalizer) should raise
 NumericalError.
 """
+import contextlib
 import math
 import numbers
 
@@ -22,23 +24,23 @@ class NumericalError(CpsmError):
     """Computation produced non-finite or contradictory values."""
 
 
-def check_integers(config, **minimums) -> None:
-    """Raise ValidationError unless each named field of `config` holds an
-    integer of at least its minimum. Neither a float, even a whole one, nor a
-    bool counts as an integer; a NaN would pass every `<` test."""
+def check_integers(values, **minimums) -> None:
+    """Raise ValidationError unless each `values[name]` (`vars` of a config or
+    `locals()` of a function) is an integer of at least its minimum. Neither a
+    float, even a whole one, nor a bool counts; a NaN would pass every `<` test."""
     for name, minimum in minimums.items():
-        value = getattr(config, name)
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
         if value < minimum:
             raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_reals(config, *names) -> None:
-    """Raise ValidationError unless each named field of `config` holds a real
-    number that is not a bool; its range is the caller's to check."""
+def check_reals(values, *names) -> None:
+    """Raise ValidationError unless each `values[name]`, as in `check_integers`,
+    is a real number that is not a bool; its range is the caller's to check."""
     for name in names:
-        value = getattr(config, name)
+        value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
 
@@ -47,7 +49,7 @@ def json_number(name: str, value, kind: type):
     """A JSON number as a finite float or, for `kind` int, a whole one as an
     int (a fraction is not truncated). A string or a boolean is no number,
     though float("5") and int(True) would read them as one. Raises TypeError
-    or ValueError, which each reader reports as a ValidationError."""
+    or ValueError, which `document_errors` reports as a ValidationError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a JSON number, got {value!r}")
     if kind is int and isinstance(value, int):
@@ -60,3 +62,16 @@ def json_number(name: str, value, kind: type):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         return int(number)
     return number
+
+
+@contextlib.contextmanager
+def document_errors(what: str):
+    """Report a key missing from the JSON document `what`, or a value of the
+    wrong type, form or size, as a ValidationError: the one wrapper of the
+    readers of configs, model documents and fit files."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValidationError(f"{what} missing field: {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} malformed: {exc}") from None

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adjust import check_posterior
-from .data import LabeledDataset
-from .errors import ValidationError
+from .data import LabeledDataset, _as_label_vector
+from .errors import ValidationError, check_reals
 from .softmax import FitConfig, fit_hard, predict_proba
 
 
@@ -36,6 +36,7 @@ def classify(posterior, threshold: float | None = None) -> np.ndarray:
     p = check_posterior(posterior)
     if threshold is None:
         return np.argmax(p, axis=1) + 1
+    check_reals(locals(), "threshold")
     if p.shape[1] != 2:
         raise ValidationError(
             f"thresholded rule requires 2 classes, posterior has {p.shape[1]}"
@@ -46,13 +47,12 @@ def classify(posterior, threshold: float | None = None) -> np.ndarray:
 
 
 def balanced_accuracy(y_true, y_pred) -> float:
-    """Mean of per-class recalls over classes 1..K."""
-    yt = np.asarray(y_true, dtype=int)
-    yp = np.asarray(y_pred, dtype=int)
-    if yt.shape != yp.shape or yt.ndim != 1:
+    """Mean of per-class recalls over classes 1..K; both vectors hold labels
+    in 1..K, read as `LabeledDataset` reads its labels."""
+    yt = _as_label_vector(y_true, "y_true")
+    yp = _as_label_vector(y_pred, "y_pred")
+    if yt.shape != yp.shape:
         raise ValidationError("y_true and y_pred must be 1-D vectors of equal length")
-    if yt.size == 0:
-        raise ValidationError("empty label vectors")
     n_classes = max(2, int(yt.max()), int(yp.max()))
     recalls = []
     for label in range(1, n_classes + 1):

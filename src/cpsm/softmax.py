@@ -57,12 +57,10 @@ class SoftmaxParams:
     slopes: np.ndarray      # (K-1, n_features)
 
     def __post_init__(self):
-        check_integers(self, n_classes=2, n_features=0)
-        try:
-            intercepts = np.array(self.intercepts, dtype=float).reshape(-1)
-            slopes = np.array(self.slopes, dtype=float)
-        except (TypeError, ValueError):  # strings, ragged rows
-            raise ValidationError("parameters must be arrays of numbers") from None
+        check_integers(vars(self), n_classes=2, n_features=0)
+        # Copies, so that the caller's arrays do not alias the model.
+        intercepts = np.array(as_float_matrix(self.intercepts, "intercepts", rank=None).reshape(-1))
+        slopes = np.array(as_float_matrix(self.slopes, "slopes", rank=None))
         if intercepts.shape != (self.n_classes - 1,):
             raise ValidationError(
                 f"intercepts shape {intercepts.shape} != ({self.n_classes - 1},)"
@@ -72,8 +70,6 @@ class SoftmaxParams:
                 f"slopes shape {slopes.shape} != ({self.n_classes - 1}, {self.n_features})"
             )
         slopes = slopes.reshape(self.n_classes - 1, self.n_features)
-        if not (np.all(np.isfinite(intercepts)) and np.all(np.isfinite(slopes))):
-            raise ValidationError("parameters must be finite")
         intercepts.setflags(write=False)
         slopes.setflags(write=False)
         object.__setattr__(self, "intercepts", intercepts)
@@ -102,8 +98,8 @@ class FitConfig:
     l2_penalty: float = 1e-6
 
     def __post_init__(self):
-        check_integers(self, max_iters=1)
-        check_reals(self, "tolerance", "l2_penalty")
+        check_integers(vars(self), max_iters=1)
+        check_reals(vars(self), "tolerance", "l2_penalty")
         if not 0.0 < self.tolerance < math.inf:
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if not 0.0 <= self.l2_penalty < math.inf:
@@ -288,10 +284,12 @@ def _problem(features, targets, model: SoftmaxParams | None = None, sample_weigh
     feats = as_float_matrix(features, "features")
     t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
     n, d = feats.shape
-    weights = np.ones(n) if sample_weights is None else np.asarray(sample_weights, dtype=float)
+    weights = np.ones(n) if sample_weights is None else as_float_matrix(
+        sample_weights, "sample_weights", rank=1
+    )
     if weights.shape != (n,):
         raise ValidationError("sample_weights length must match rows")
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+    if np.any(weights < 0):
         raise ValidationError("sample_weights must be finite and nonnegative")
     if model is None:
         w0 = np.zeros((t.shape[1] - 1, 1 + d))

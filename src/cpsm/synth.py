@@ -57,8 +57,8 @@ class SynthConfig:
             raise ValidationError(
                 f"dataset_kind must be '{BERNOULLI_Z}' or '{GAUSSIAN_Z}', got {self.dataset_kind!r}"
             )
-        check_integers(self, n_source=1, n_target=1, d_z=0, d_x=0, seed=0)
-        check_reals(self, "source_cond_prob", "shift_slope", "target_prior")
+        check_integers(vars(self), n_source=1, n_target=1, d_z=0, d_x=0, seed=0)
+        check_reals(vars(self), "source_cond_prob", "shift_slope", "target_prior")
         if self.d_x < self.d_z + 1:
             raise ValidationError(
                 f"d_x must be >= d_z + 1 to hold the class indicator plus z, got d_x={self.d_x}"
@@ -93,10 +93,10 @@ def calibrate_intercept(
     1 / (2 s), and the error grows with s; that range is not validated.
     Root found by bisection on [-30, 30].
     """
+    check_reals(locals(), "shift_slope", "target_prior")
+    check_integers(locals(), d_z=0)
     if not 0.0 < target_prior < 1.0:
         raise ValidationError("target_prior must lie in (0, 1)")
-    if d_z < 0:
-        raise ValidationError("d_z must be >= 0")
     if not math.isfinite(shift_slope):
         raise ValidationError(f"shift_slope must be finite, got {shift_slope}")
     if z_dist == BERNOULLI_Z:
@@ -201,12 +201,12 @@ class ShiftProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_reals(self, "base_rate", "shift_delta")
+        check_reals(vars(self), "base_rate", "shift_delta")
         if not 0.0 < self.base_rate < 1.0:
             raise ValidationError("base_rate must lie in (0, 1)")
         if not 0.0 < self.base_rate + self.shift_delta < 1.0:
             raise ValidationError("base_rate + shift_delta must lie in (0, 1)")
-        check_integers(self, n_source=1, n_target=1, conditioning_column=0, seed=0)
+        check_integers(vars(self), n_source=1, n_target=1, conditioning_column=0, seed=0)
 
 
 def _binary_column(data: LabeledDataset, column: int, where: str = "") -> np.ndarray:

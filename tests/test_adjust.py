@@ -95,11 +95,11 @@ def test_non_stochastic_posterior_rejected():
 @pytest.mark.parametrize(
     "probs, message",
     [
-        ([0.5, 0.5], r"must be an \(n, K>=2\) matrix"),
+        ([0.5, 0.5], "posterior must be a 2-D matrix, got ndim=1"),
         ([[0.5, 0.5]] * 3, "3 rows, expected 2"),
         ([[1.5, -0.5], [0.5, 0.5]], r"entries must lie in \[0, 1\]"),
-        ([[math.nan, 1.0], [0.5, 0.5]], r"entries must lie in \[0, 1\]"),
-        ([[0.5, 0.5], [math.nan, math.nan]], r"entries must lie in \[0, 1\]"),
+        ([[math.nan, 1.0], [0.5, 0.5]], "posterior contains non-finite values"),
+        ([[0.5, 0.5], [math.nan, math.nan]], "posterior contains non-finite values"),
     ],
     ids=["one-dimensional", "row-count", "entry-above-one", "nan-entry", "nan-row"],
 )

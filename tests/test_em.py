@@ -544,8 +544,8 @@ _ABSENT = object()
     [
         ("n_classes", 2.9, "n_classes must be an integer"),
         ("n_classes", "2", "n_classes must be a JSON number"),
-        ("slopes", [[1.0, 2.0, 3.0]], "cannot reshape"),
-        ("intercepts", _ABSENT, "missing field in model document: 'intercepts'"),
+        ("slopes", [[1.0, 2.0, 3.0]], r"slopes shape \(1, 3\) != \(1, 2\)"),
+        ("intercepts", _ABSENT, "model document missing field: 'intercepts'"),
     ],
     ids=["fraction", "string", "slopes-size", "missing-field"],
 )
@@ -565,8 +565,10 @@ def test_model_document_faults_are_validation_errors(field, value, message):
         ("[1, 2]\n", "must be an object"),
         ('{"format_version": 1', "invalid JSON"),
         ('{"format_version": 2}', "unsupported fit document version: 2"),
+        ('{"format_version": true}', "format_version must be a JSON number, got True"),
+        ("{}", "fit document missing field: 'format_version'"),
     ],
-    ids=["list", "truncated", "other-version"],
+    ids=["list", "truncated", "other-version", "boolean-version", "no-version"],
 )
 def test_fit_file_faults_are_validation_errors(tmp_path, text, message):
     path = tmp_path / "fit.json"

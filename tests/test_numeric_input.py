@@ -1,0 +1,152 @@
+"""One rule for the numbers a caller hands the library: every public entry
+reads an array through `as_float_matrix` (labels through the label reader)
+and a scalar by the config classes' number rule, so malformed input raises
+ValidationError and never a raw ValueError, TypeError or OverflowError."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cpsm import (
+    FitConfig,
+    LabeledDataset,
+    SoftmaxParams,
+    UnlabeledDataset,
+    ValidationError,
+    adjust_posterior,
+    approximation_error,
+    balanced_accuracy,
+    calibrate_intercept,
+    classify,
+    fit_soft,
+    log_likelihood,
+    params_from_dict,
+    params_from_prior,
+    predict_proba,
+)
+from cpsm.adjust import check_posterior
+from cpsm.data import as_float_matrix
+from helpers import zero_params
+
+_FEATURES = [[0.0], [1.0]]
+_POSTERIOR = [[0.5, 0.5], [0.25, 0.75]]
+_ONES = [[1.0, 1.0], [1.0, 1.0]]
+_LABELS = [1, 2, 1, 2]
+_MODEL = zero_params(2, 1)
+
+
+def _model_document(**fields):
+    doc = {"n_classes": 3, "n_features": 1, "intercepts": [0.5, -0.5], "slopes": [[1.0], [2.0]]}
+    return {**doc, **fields}
+
+
+# Each public numeric reader: a valid value for the argument it reads, and
+# the call that hands it that argument.
+_READERS = {
+    "UnlabeledDataset-z": (_FEATURES, lambda v: UnlabeledDataset(z=v, x=_FEATURES)),
+    "UnlabeledDataset-x": (_FEATURES, lambda v: UnlabeledDataset(z=_FEATURES, x=v)),
+    "LabeledDataset-z": (_FEATURES, lambda v: LabeledDataset(z=v, x=_FEATURES, y=[1, 2])),
+    "LabeledDataset-x": (_FEATURES, lambda v: LabeledDataset(z=_FEATURES, x=v, y=[1, 2])),
+    "predict_proba": (_FEATURES, lambda v: predict_proba(_MODEL, v)),
+    "fit_soft-features": (_FEATURES, lambda v: fit_soft(v, _POSTERIOR, FitConfig())),
+    "fit_soft-targets": (_POSTERIOR, lambda v: fit_soft(_FEATURES, v, FitConfig())),
+    "fit_soft-sample_weights": (
+        [1.0, 2.0], lambda v: fit_soft(_FEATURES, _POSTERIOR, FitConfig(), sample_weights=v)
+    ),
+    "log_likelihood-features": (_FEATURES, lambda v: log_likelihood(_MODEL, v, _POSTERIOR)),
+    "log_likelihood-targets": (_POSTERIOR, lambda v: log_likelihood(_MODEL, _FEATURES, v)),
+    "SoftmaxParams-intercepts": ([0.5, -0.5], lambda v: SoftmaxParams(3, 1, v, [[1.0], [2.0]])),
+    "SoftmaxParams-slopes": ([[1.0], [2.0]], lambda v: SoftmaxParams(3, 1, [0.5, -0.5], v)),
+    "adjust_posterior-source": (_POSTERIOR, lambda v: adjust_posterior(v, _ONES, _ONES)),
+    "adjust_posterior-numerator": (_ONES, lambda v: adjust_posterior(_POSTERIOR, v, _ONES)),
+    "adjust_posterior-denominator": (_ONES, lambda v: adjust_posterior(_POSTERIOR, _ONES, v)),
+    "check_posterior": (_POSTERIOR, check_posterior),
+    "classify": (_POSTERIOR, classify),
+    "approximation_error-method": (_POSTERIOR, lambda v: approximation_error(v, _POSTERIOR)),
+    "approximation_error-oracle": (_POSTERIOR, lambda v: approximation_error(_POSTERIOR, v)),
+    "balanced_accuracy-y_true": (_LABELS, lambda v: balanced_accuracy(v, _LABELS)),
+    "balanced_accuracy-y_pred": (_LABELS, lambda v: balanced_accuracy(_LABELS, v)),
+    "params_from_prior": ([0.25, 0.75], params_from_prior),
+    "params_from_dict-intercepts": (
+        [0.5, -0.5], lambda v: params_from_dict(_model_document(intercepts=v))
+    ),
+    "params_from_dict-slopes": (
+        [[1.0], [2.0]], lambda v: params_from_dict(_model_document(slopes=v))
+    ),
+}
+
+# The faults, each in the first cell of a valid value: a string, a pair (so
+# that its row is ragged), an int past the float range, and NaN.
+_FAULTS = ("string", "ragged", "huge", "nan")
+_BAD_CELLS = {"string": "a", "huge": 10**400, "nan": math.nan}
+
+
+def _corrupt(good: list, fault: str) -> list:
+    if isinstance(good[0], list):
+        return [_corrupt(good[0], fault)] + good[1:]
+    cell = [good[0], good[0]] if fault == "ragged" else _BAD_CELLS[fault]
+    return [cell] + good[1:]
+
+
+# Scalar arguments, read by the number rule of the config classes: a bool or
+# a non-number is refused, and an integer argument takes no float.
+_SCALARS = [
+    pytest.param(lambda: calibrate_intercept("1", 0.3, "bernoulli_z", 5), id="shift_slope-string"),
+    pytest.param(lambda: calibrate_intercept(1, "0.3", "bernoulli_z", 5), id="target_prior-string"),
+    pytest.param(lambda: calibrate_intercept(1, True, "bernoulli_z", 5), id="target_prior-bool"),
+    pytest.param(lambda: calibrate_intercept(1, 0.3, "gaussian_z", 2.5), id="d_z-fraction"),
+    pytest.param(lambda: calibrate_intercept(1, 0.3, "gaussian_z", 5.0), id="d_z-float"),
+    pytest.param(lambda: classify(_POSTERIOR, "0.5"), id="threshold-string"),
+    pytest.param(lambda: classify(_POSTERIOR, True), id="threshold-bool"),
+]
+
+_CASES = [
+    pytest.param(lambda call=call, bad=_corrupt(good, fault): call(bad), id=f"{reader}-{fault}")
+    for reader, (good, call) in _READERS.items()
+    for fault in _FAULTS
+] + _SCALARS
+
+
+@pytest.mark.parametrize("call", _CASES)
+def test_malformed_numbers_are_validation_errors(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("reader", _READERS)
+def test_each_reader_takes_its_valid_value(reader):
+    good, call = _READERS[reader]
+    call(good)
+
+
+@pytest.mark.parametrize("slopes", [[[1.0], [2.0]], [1.0, 2.0]], ids=["matrix", "flat"])
+def test_a_model_does_not_alias_the_callers_arrays(slopes):
+    intercepts, slopes = np.array([0.5, -0.5]), np.array(slopes)
+    params = SoftmaxParams(3, 1, intercepts, slopes)
+    intercepts[:] = 9.0
+    slopes[:] = 9.0
+    assert params.intercepts.tolist() == [0.5, -0.5]
+    assert params.slopes.tolist() == [[1.0], [2.0]]
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.text(max_size=4),
+    st.none(),
+    st.integers(min_value=10**308, max_value=10**400).map(lambda i: i * (-1) ** (i % 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=3), max_leaves=10),
+       st.sampled_from([1, 2, None]))
+def test_the_reader_gives_finite_floats_or_a_validation_error(value, rank):
+    try:
+        out = as_float_matrix(value, "value", rank=rank)
+    except ValidationError:
+        return
+    assert out.dtype == np.float64
+    assert np.all(np.isfinite(out))
+    assert rank is None or out.ndim == rank

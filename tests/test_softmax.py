@@ -67,7 +67,7 @@ def test_dimension_mismatch_rejected():
     # integer, each built directly.
     for args, message in [
         ((3, 2, [0, 0], [1, 2, 3]), r"slopes shape \(3,\) != \(2, 2\)"),
-        ((2, 1, ["a"], [[1]]), "parameters must be arrays of numbers"),
+        ((2, 1, ["a"], [[1]]), "intercepts must be an array of numbers"),
         ((2.5, 1, [0], [[1]]), "n_classes must be an integer, got 2.5"),
     ]:
         with pytest.raises(ValidationError, match=message):
@@ -202,7 +202,7 @@ def test_bad_target_rows_rejected():
     with pytest.raises(ValidationError, match="sum"):
         fit_soft(np.zeros((2, 1)), np.array([[0.7, 0.2], [0.5, 0.5]]), FitConfig())
     # A NaN target row is bad input, not a non-finite objective.
-    with pytest.raises(ValidationError, match=r"entries must lie in \[0, 1\]"):
+    with pytest.raises(ValidationError, match="soft targets contains non-finite values"):
         fit_soft(np.zeros((2, 1)), np.array([[np.nan, np.nan], [0.5, 0.5]]), FitConfig())
 
 
@@ -338,7 +338,7 @@ def test_warm_start_shape_mismatch_rejected():
 
 @pytest.mark.parametrize(
     "intercepts, message",
-    [([0.5], r"intercepts shape \(1,\) != \(2,\)"), ([0.5, math.nan], "parameters must be finite")],
+    [([0.5], r"intercepts shape \(1,\) != \(2,\)"), ([0.5, math.nan], "intercepts contains non-finite values")],
     ids=["intercepts-shape", "intercept-nan"],
 )
 def test_bad_parameters_rejected(intercepts, message):
