@@ -23,10 +23,14 @@ from .errors import ValidationError
 def as_float_matrix(arr, name: str, rank: int | None = 2) -> np.ndarray:
     """`arr` as a float array of `rank` dimensions (None: any rank) with finite
     entries, uncopied if it is one: the rule of every public numeric input. A
-    string, ragged rows, 10**400, NaN or inf raises ValidationError."""
+    string, even a numeric one such as "1.5", ragged rows, 10**400, NaN or inf
+    raises ValidationError."""
     article, noun = {1: ("a", "vector"), 2: ("a", "matrix")}.get(rank, ("an", "array"))
     try:
-        out = np.asarray(arr, dtype=float)
+        out = np.asarray(arr)
+        if out.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in out.flat):
+            raise TypeError  # numpy would parse "1.5"; the number rule does not
+        out = out.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # strings, ragged rows, 10**400
         raise ValidationError(f"{name} must be {article} {noun} of numbers") from None
     if rank is not None and out.ndim != rank:
@@ -55,7 +59,7 @@ def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
         y = y.astype(float, copy=False)
         whole = np.all((y == np.floor(y)) & (np.abs(y) < _MAX_LABEL))
     else:
-        whole = y.dtype.kind in "biu"  # not strings, None or other objects
+        whole = y.dtype.kind in "iu"  # not booleans, strings, None or other objects
     if not whole:
         raise ValidationError(f"{name} must be integers")
     yi = y.astype(int)

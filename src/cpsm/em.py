@@ -7,14 +7,15 @@ posterior p(y | z, x) of each target row times q(y | z; theta) / p(y | z),
 renormalized per row. Both conditionals are clamped `predict_proba` scores,
 whose ratio lies strictly inside `adjust_posterior`'s clip, so `fit_cpsm`
 passes it to the kernel `adjust._reweight` without the input checks; a zero
-or non-finite row normalizer still raises NumericalError. The M-step refits
-the shifted conditional model on those responsibilities by `fit_soft`, whose
-Newton steps on the exact Hessian converge in a few iterations from the
-previous round's warm start. It runs the fixed solver settings `M_STEP`,
-unpenalized, and its Armijo line search never lowers the M-step objective,
-so the marginal-likelihood surrogate can only go up. The prior-only
-correction (empty conditioning block) and the uncorrected baseline fall out
-as special cases.
+or non-finite row normalizer still raises NumericalError. The M-step is
+generalized (Dempster, Laird & Rubin 1977): one Newton step of `fit_soft`
+from the previous round's model, under the fixed, unpenalized settings
+`M_STEP`, whose Armijo line search never lowers the M-step objective
+(Lange's EM gradient algorithm, 1995). So the marginal-likelihood surrogate
+can only go up. Without z the shifted model is intercept-only, and its exact
+M-step is the logit of the mean responsibilities. The prior-only correction
+(empty conditioning block) and the uncorrected baseline fall out as special
+cases.
 
 The shifted model sees the conditioning block z only through its distinct
 rows. `fit_cpsm` groups the target's z rows into patterns once; each M-step
@@ -48,11 +49,11 @@ from .softmax import (
 
 FIT_FORMAT_VERSION = 1
 
-# The M-step solver settings: a short warm-started budget of Newton steps
-# and no ridge penalty. A ridge would make each M-step maximize a penalized
-# objective, and EM's guarantee that the surrogate never decreases holds
-# only for the M-step of the plain likelihood.
-M_STEP = FitConfig(max_iters=200, l2_penalty=0.0)
+# The M-step solver settings: one warm-started Newton step, which never
+# lowers the M-step objective, and no ridge penalty. A ridge would make each
+# M-step raise a penalized objective, and EM's guarantee that the surrogate
+# never decreases holds only for an M-step of the plain likelihood.
+M_STEP = FitConfig(max_iters=1, l2_penalty=0.0)
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class SourceModels:
 @dataclass
 class EmConfig:
     """EM driver settings: the round budget and the stopping rule. Each
-    M-step runs the fixed solver `M_STEP`."""
+    M-step runs the fixed solver `M_STEP`, or the closed form without z."""
 
     max_em_iters: int = 500
     em_tolerance: float = 1e-8
@@ -135,13 +136,18 @@ def _distinct_rows(z: np.ndarray) -> _Patterns:
 def _fit_patterns(
     patterns: _Patterns, responsibilities: np.ndarray, init: SoftmaxParams
 ) -> SoftmaxParams:
-    """The M-step on grouped rows: each pattern's mean responsibilities,
-    weighted by its row count."""
+    """The M-step on grouped rows: one `M_STEP` step on each pattern's mean
+    responsibilities, weighted by its row count; without z, the exact one."""
     sums = [
         np.bincount(patterns.inverse, weights=column, minlength=patterns.counts.size)
         for column in responsibilities.T
     ]
     means = np.stack(sums, axis=1) / patterns.counts[:, None]
+    if patterns.rows.shape[1] == 0:
+        # Intercept-only: the exact M-step is the logit of the one pattern's
+        # mean responsibilities, each positive as the E-step's are.
+        logits = np.log(means[0, :-1]) - np.log(means[0, -1])
+        return SoftmaxParams.from_weight_matrix(means.shape[1], logits[:, None])
     return fit_soft(patterns.rows, means, M_STEP, init=init, sample_weights=patterns.counts)
 
 

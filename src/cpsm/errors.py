@@ -38,11 +38,17 @@ def check_integers(values, **minimums) -> None:
 
 def check_reals(values, *names) -> None:
     """Raise ValidationError unless each `values[name]`, as in `check_integers`,
-    is a real number that is not a bool; its range is the caller's to check."""
+    is a real number that is not a bool, and a float can hold it: an int such
+    as 10**400 would pass every `<` test and then overflow. The rest of its
+    range is the caller's to check."""
     for name in names:
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValidationError(f"{name} must be a real number within the float range") from None
 
 
 def json_number(name: str, value, kind: type):

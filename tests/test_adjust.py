@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsm import ValidationError, adjust_posterior
-from cpsm.adjust import RATIO_MAX, RATIO_MIN, _reweight, check_posterior
-from cpsm.softmax import clamp_probs
+from cpsm.adjust import RATIO_MAX, RATIO_MIN, _reweight, check_posterior, divide_columns
+from cpsm.softmax import _shifted_scores, _softmax, clamp_probs
 
 from helpers import bayes_posterior_from_joint, random_discrete_joint
 
@@ -145,3 +145,28 @@ def test_clamped_conditionals_never_reach_the_ratio_clip():
     checked = adjust_posterior(posterior, num, den)
     assert np.array_equal(kernel.posterior, checked.posterior)
     assert np.array_equal(kernel.row_normalizer, checked.row_normalizer)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 13))
+def test_column_divides_are_bitwise_the_broadcast_divides(n_classes):
+    # The posterior renormalization and the softmax divide each column by
+    # the row sums rather than broadcasting an (n, 1) array: same bits.
+    rng = np.random.default_rng(n_classes)
+    a = rng.random((501, n_classes)) * 10.0 ** rng.integers(-300, 300, size=(501, 1))
+    v = rng.random(501) + 1e-3
+    expected = a / v[:, None]
+    out = a.copy()
+    assert divide_columns(out, v) is out
+    assert np.array_equal(out, expected)
+
+    p = rng.dirichlet(np.ones(n_classes), size=501)
+    ratio = rng.random((501, n_classes)) + 0.5
+    result = _reweight(p, ratio)
+    assert np.array_equal(result.posterior, p * ratio / result.row_normalizer[:, None])
+
+    head = 20.0 * rng.standard_normal((501, n_classes - 1))
+    scores = np.exp(_shifted_scores(head))
+    total = scores[:, 0].copy()
+    for k in range(1, n_classes):
+        total += scores[:, k]
+    assert np.array_equal(_softmax(head), scores / total[:, None])

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsm import (
+    EmConfig,
     FitConfig,
     LabeledDataset,
+    ShiftProtocolConfig,
     SoftmaxParams,
+    SynthConfig,
     UnlabeledDataset,
     ValidationError,
     adjust_posterior,
@@ -150,3 +153,56 @@ def test_the_reader_gives_finite_floats_or_a_validation_error(value, rank):
     assert out.dtype == np.float64
     assert np.all(np.isfinite(out))
     assert rank is None or out.ndim == rank
+
+
+def _as_text(good: list, kind: str):
+    """`good` with its first cell written as the text of its own number, as a
+    list, or as a numpy array of str, bytes or objects."""
+    if kind == "list":
+        if isinstance(good[0], list):
+            return [_as_text(good[0], kind)] + good[1:]
+        return [repr(good[0])] + good[1:]
+    dtype = {"str-array": str, "bytes-array": bytes, "object-array": object}[kind]
+    return np.array(good).astype(str).astype(dtype)
+
+
+@pytest.mark.parametrize("kind", ["list", "str-array", "bytes-array", "object-array"])
+@pytest.mark.parametrize("reader", _READERS)
+def test_numeric_text_is_not_a_number(reader, kind):
+    # numpy parses "1.5" as a float; the number rule, like a config's, does not.
+    good, call = _READERS[reader]
+    with pytest.raises(ValidationError, match="must be"):
+        call(_as_text(good, kind))
+
+
+@pytest.mark.parametrize("labels", [[True, True], np.array([True, False, True])])
+def test_booleans_are_not_labels(labels):
+    with pytest.raises(ValidationError, match="y_true must be integers"):
+        balanced_accuracy(labels, [1] * len(labels))
+    with pytest.raises(ValidationError, match="y_pred must be integers"):
+        balanced_accuracy([1] * len(labels), labels)
+    with pytest.raises(ValidationError, match="labels must be integers"):
+        LabeledDataset(z=np.zeros((len(labels), 1)), x=np.zeros((len(labels), 1)), y=labels)
+
+
+_GAUSSIAN = {"dataset_kind": "gaussian_z", "n_source": 10, "n_target": 10}
+_PROTOCOL = {"base_rate": 0.2, "shift_delta": 0.1, "n_source": 10, "n_target": 10}
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["positive", "negative"])
+@pytest.mark.parametrize("name, call", [
+    ("shift_slope", lambda v: calibrate_intercept(v, 0.05, "gaussian_z", 5)),
+    ("target_prior", lambda v: calibrate_intercept(5.0, v, "bernoulli_z", 5)),
+    ("shift_slope", lambda v: SynthConfig(**_GAUSSIAN, shift_slope=v)),
+    ("target_prior", lambda v: SynthConfig(**_GAUSSIAN, target_prior=v)),
+    ("source_cond_prob", lambda v: SynthConfig(**_GAUSSIAN, source_cond_prob=v)),
+    ("base_rate", lambda v: ShiftProtocolConfig(**{**_PROTOCOL, "base_rate": v})),
+    ("shift_delta", lambda v: ShiftProtocolConfig(**{**_PROTOCOL, "shift_delta": v})),
+    ("tolerance", lambda v: FitConfig(tolerance=v)),
+    ("l2_penalty", lambda v: FitConfig(l2_penalty=v)),
+    ("em_tolerance", lambda v: EmConfig(em_tolerance=v)),
+    ("threshold", lambda v: classify(_POSTERIOR, v)),
+])
+def test_an_integer_past_the_float_range_is_named(name, call, huge):
+    with pytest.raises(ValidationError, match=f"^{name} must be a real number within"):
+        call(huge)
