@@ -33,14 +33,17 @@ and peak RSS (`VmHWM` on Linux, else `ru_maxrss`), so the memory is that of
 the one call plus the interpreter, numpy and, for a write, the arrays it
 writes. Every op but a read or a write also reports counts that do not
 depend on the machine: a generate call, how many times the intercept
-calibration evaluated its expectation, and over how many points in all; a
-fit or an em call, the objective evaluations (`softmax._objective` calls),
-the Hessian builds (`softmax._gram` calls: one per Hessian at K = 2) and
-the solver iterations (the steps `softmax._newton` took), and for an em
-call also the EM rounds and the M-step fits (`fit_soft` calls from `em`);
-a grid call, the same counts over all of its fits. The counts come
-from a second, untimed run of the same call in the same process, with
-those functions wrapped, which must agree with the timed run bit for bit.
+calibration evaluated its expectation, and over how many points in all,
+counted as the `synth._sigmoid` calls made inside
+`synth.calibrate_intercept` (a `cpsm` whose calibration does not call it
+reads 0); a fit or an em call, the objective evaluations
+(`softmax._objective` calls), the Hessian builds (`softmax._gram` calls:
+one per Hessian at K = 2) and the solver iterations (the steps
+`softmax._newton` took), and for an em call also the EM rounds and the
+M-step fits (`fit_soft` calls from `em`); a grid call, the same counts
+over all of its fits. The counts come from a second, untimed run of the
+same call in the same process, with those functions wrapped, which must
+agree with the timed run bit for bit.
 
 With `--baseline DIR`, the `cpsm` under DIR (for example the src/ of a
 checkout of the parent commit) runs on the same files, alternating with
@@ -134,17 +137,28 @@ def pair_config(family, n):
     return synth.SynthConfig(dataset_kind=family, n_source=n, n_target=n, shift_slope=5.0,
                              target_prior=0.05, seed=1)
 
-class CountingNumpy:
-    # Each evaluation of the intercept calibration's expectation ends in one
-    # np.reciprocal over all of its points, and nothing else in
-    # synth.generate_pair calls it.
-    def __getattr__(self, name):
-        return getattr(np, name)
+def patched(counters, call, *args):
+    # call(*args) with each (module, name) of `counters` set to its value.
+    original = {key: getattr(*key) for key in counters}
+    for (module, name), fn in counters.items():
+        setattr(module, name, fn)
+    try:
+        return call(*args)
+    finally:
+        for (module, name), fn in original.items():
+            setattr(module, name, fn)
 
-    def reciprocal(self, a, *args, **kwargs):
+def calibration_counters():
+    # Each evaluation of the calibration's expectation is one synth._sigmoid
+    # call over all its points; only the calls inside calibrate_intercept count.
+    sigmoid, calibrate = synth._sigmoid, synth.calibrate_intercept
+    counts.update(calibration_evaluations=0, calibration_points=0)
+    def counted(t):
         counts["calibration_evaluations"] += 1
-        counts["calibration_points"] += np.size(a)
-        return np.reciprocal(a, *args, **kwargs)
+        counts["calibration_points"] += np.size(t)
+        return sigmoid(t)
+    return {(synth, "calibrate_intercept"):
+            lambda *args: patched({(synth, "_sigmoid"): counted}, calibrate, *args)}
 
 def counting(module, name, key, step=lambda result: 1):
     # module.name wrapped to add step(its result) to counts[key] at each call.
@@ -176,11 +190,10 @@ def write_call(path, arrays):
 
 def generate_call(family, n):
     config = pair_config(family, n)
-    counts.update(calibration_evaluations=0, calibration_points=0)
     return (lambda: synth.generate_pair(config),
             lambda pair: {f"{side}_digest": digest(rows.z, rows.x, rows.y)
                           for side, rows in zip(("source", "target"), pair)},
-            {(synth, "np"): CountingNumpy()})
+            calibration_counters())
 
 def fit_call(family, n, block, out):
     source, _ = synth.generate_pair(pair_config(family, n))
@@ -230,14 +243,7 @@ result = {"seconds": seconds, "rss_before_kb": before_kb, "peak_rss_kb": peak_kb
 if counters:
     # The counted run: untimed, with the counters installed. Its report
     # (which saves the same array again) must equal the timed run's.
-    original = {key: getattr(*key) for key in counters}
-    for (module, name), fn in counters.items():
-        setattr(module, name, fn)
-    try:
-        counted = report(call())
-    finally:
-        for (module, name), fn in original.items():
-            setattr(module, name, fn)
+    counted = report(patched(counters, call))
     if any(counted[key] != result[key] for key in counted):
         raise SystemExit(f"the counted {spec['op']} run differs from the timed one")
 print(json.dumps({**result, **counts}))

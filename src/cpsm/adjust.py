@@ -35,14 +35,6 @@ def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def divide_columns(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """`a / v[:, None]` bitwise, for an (n, K) float `a`, written into `a`
-    column by column: on a few columns faster than the broadcast."""
-    for k in range(a.shape[1]):
-        np.divide(a[:, k], v, out=a[:, k])
-    return a
-
-
 def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
     """Validate an (n, K) row-stochastic probability matrix, read by
     `as_float_matrix`, with n equal to `n_rows` when given."""
@@ -104,4 +96,5 @@ def _reweight(p: np.ndarray, ratio) -> AdjustResult:
         raise NumericalError(
             f"zero or non-finite normalizer at row {bad}: contradictory posterior/ratio inputs"
         )
-    return AdjustResult(posterior=divide_columns(weighted, norm), row_normalizer=norm)
+    weighted /= norm[:, None]
+    return AdjustResult(posterior=weighted, row_normalizer=norm)

@@ -10,6 +10,7 @@ its data is recorded as a row with NaN metrics and the sweep continues.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import time
 import typing
@@ -109,11 +110,12 @@ def config_fields(cls, doc, supplied=(), extra=(), prefix: str = "") -> dict:
 @dataclass(frozen=True)
 class Generator:
     """A parsed generator block: its kind, the config fields it sets and,
-    for the resample kind, the labeled input it draws from."""
+    for the resample kind, the labeled input it draws from and its path."""
 
     kind: str
     settings: dict
     base: LabeledDataset | None = None
+    input_csv: str | None = None
 
     def config(self, **run) -> SynthConfig | ShiftProtocolConfig:
         """The kind's config from the block's fields plus the per-run `run`."""
@@ -138,14 +140,14 @@ def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
     cls, run_fields = _KINDS[kind]
     extra = ("kind", "input_csv", *extra) if kind == "resample" else ("kind", *extra)
     settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
-    base = None
+    base = path = None
     if kind == "resample":
         path = _read("input_csv", doc["input_csv"], str)
         base = read_labeled_csv(path, "resample input")
         # The column is a block setting, so one check serves every run.
         column = settings.get("conditioning_column", cls.conditioning_column)
         _binary_column(base, column, f"{path}: ")
-    return Generator(kind, settings, base)
+    return Generator(kind, settings, base, path)
 
 
 def parse_generation(doc: dict) -> tuple[Generator, str]:
@@ -187,6 +189,17 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise ValidationError(f"unknown method {m!r}, expected one of {METHODS}")
         check_integers(vars(self), repetitions=1)
+        # A file written over another, or over the input, would lose it;
+        # the real path also sees through a symbolic link.
+        paths = {"output_path": self.output_path, "aggregate_path": self.aggregate_path,
+                 "input_csv": self.generator.input_csv}
+        seen = {}
+        for name, path in paths.items():
+            other = seen.setdefault(os.path.realpath(path), name) if path else name
+            if other != name:
+                raise ValidationError(
+                    f"{other} {paths[other]!r} and {name} {path!r} name the same file"
+                )
         for _, run in self.runs():
             self.generator.config(**run)
 

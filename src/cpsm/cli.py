@@ -33,8 +33,9 @@ def cmd_generate(args) -> int:
     doc = read_json_object(args.config)
     generator, out_dir = bench.parse_generation(doc)
     source, target = generator.pair()
-    out_dir = args.output_dir or out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    # An empty directory, from the flag or the config, is the current one.
+    out_dir = out_dir if args.output_dir is None else args.output_dir
+    os.makedirs(out_dir or os.curdir, exist_ok=True)
     source_path = os.path.join(out_dir, "source.csv")
     target_path = os.path.join(out_dir, "target.csv")
     labels_path = os.path.join(out_dir, "target_labels.csv")

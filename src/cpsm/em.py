@@ -144,10 +144,9 @@ def _fit_patterns(
     ]
     means = np.stack(sums, axis=1) / patterns.counts[:, None]
     if patterns.rows.shape[1] == 0:
-        # Intercept-only: the exact M-step is the logit of the one pattern's
-        # mean responsibilities, each positive as the E-step's are.
-        logits = np.log(means[0, :-1]) - np.log(means[0, -1])
-        return SoftmaxParams.from_weight_matrix(means.shape[1], logits[:, None])
+        # The exact M-step: the model of the one pattern's mean
+        # responsibilities, unclamped, each positive as the E-step's are.
+        return _intercept_model(means[0])
     return fit_soft(patterns.rows, means, M_STEP, init=init, sample_weights=patterns.counts)
 
 
@@ -199,9 +198,13 @@ def params_from_prior(prior) -> SoftmaxParams:
     """Intercept-only model whose probabilities equal the given prior: a
     vector that `check_posterior` accepts as a one-row posterior."""
     row = as_float_matrix(prior, "prior", rank=1)[None, :]
-    p = clamp_probs(check_posterior(row, "prior")[0])
-    intercepts = np.log(p[:-1]) - np.log(p[-1])
-    return SoftmaxParams.from_weight_matrix(p.shape[0], intercepts[:, None])
+    return _intercept_model(clamp_probs(check_posterior(row, "prior")[0]))
+
+
+def _intercept_model(p: np.ndarray) -> SoftmaxParams:
+    """The intercept-only model of the positive probabilities `p`."""
+    logits = np.log(p[:-1]) - np.log(p[-1])
+    return SoftmaxParams.from_weight_matrix(p.shape[0], logits[:, None])
 
 
 def fit_mlls(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjust import check_posterior, divide_columns, fold_columns
+from .adjust import check_posterior, fold_columns
 from .data import LabeledDataset, as_float_matrix
 from .errors import NumericalError, ValidationError, check_integers, check_reals
 
@@ -124,7 +124,8 @@ def _softmax(head: np.ndarray) -> np.ndarray:
     bitwise the `axis=1` reductions for K <= 7, within a few ulps for K >= 8."""
     scores = _shifted_scores(head)
     np.exp(scores, out=scores)
-    return divide_columns(scores, fold_columns(np.add, scores))
+    scores /= fold_columns(np.add, scores)[:, None]
+    return scores
 
 
 def predict_proba(params: SoftmaxParams, features) -> np.ndarray:
@@ -185,7 +186,7 @@ def _objective(w, aug, targets, weights, l2):
         log_probs = _shifted_scores(aug @ w.T)
         probs = np.exp(log_probs)
         total = fold_columns(np.add, probs)
-        divide_columns(probs, total)
+        probs /= total[:, None]
         log_probs -= np.log(total)[:, None]
         np.log(probs, out=log_probs, where=probs >= _TINY)
         value = float(np.sum(weights[:, None] * targets * log_probs))

@@ -115,18 +115,8 @@ def calibrate_intercept(
     else:
         raise ValidationError(f"unknown z distribution {z_dist!r}")
 
-    buf = np.empty_like(sums)
-
     def expected(t0: float) -> float:
-        # In-place sigmoid; exp overflow saturates to 0 probability, which is
-        # the correct limit, so the warnings are suppressed.
-        np.add(sums, t0, out=buf)
-        np.negative(buf, out=buf)
-        with np.errstate(over="ignore"):
-            np.exp(buf, out=buf)
-        np.add(buf, 1.0, out=buf)
-        np.reciprocal(buf, out=buf)
-        return float(weights @ buf)
+        return float(weights @ _sigmoid(sums + t0))
 
     lo, hi = -_BRACKET, _BRACKET
     if expected(lo) > target_prior or expected(hi) < target_prior:

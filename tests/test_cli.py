@@ -7,13 +7,15 @@ import typing
 import numpy as np
 import pytest
 
-from cpsm import bench
+from cpsm import SoftmaxParams, bench
 from cpsm.cli import main
-from cpsm.data import LabeledDataset, read_dataset_csv
+from cpsm.data import LabeledDataset, read_dataset_csv, write_dataset_csv, write_posterior_csv
 from cpsm.em import EmConfig
 from cpsm.errors import NumericalError, ValidationError
 from cpsm.metrics import MetricRow
 from cpsm.synth import ShiftProtocolConfig, SynthConfig
+
+from helpers import GaussianGenConfig, generate_gaussian_family
 
 
 def _read_metrics(path):
@@ -81,6 +83,20 @@ def test_generate_is_byte_deterministic(tmp_path):
     assert main(["generate", second]) == 0
     for name in ("source.csv", "target.csv", "target_labels.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_an_empty_output_dir_is_the_current_directory(tmp_path, monkeypatch, where):
+    # os.makedirs("") fails, though os.path.join("", name) names a file in
+    # the current directory; an empty --output-dir is not the config's value.
+    config = _gen_config(tmp_path, "elsewhere", **({"output_dir": ""} if where == "config" else {}))
+    monkeypatch.chdir(tmp_path)
+    flag = ["--output-dir", ""] if where == "flag" else []
+    assert main(["generate", config, *flag]) == 0
+    assert main(["generate", _gen_config(tmp_path, "reference")]) == 0
+    for name in ("source.csv", "target.csv", "target_labels.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "reference" / name).read_bytes()
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_generate_with_more_than_1023_bernoulli_bits_exits_0(tmp_path):
@@ -160,6 +176,38 @@ def test_adapt_mlls_and_fit_json_schema(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["p1", "p2"]
     assert len(rows) == 301
+
+
+def _three_class_data(intercepts, seed):
+    """600 rows of a three-class Gaussian family whose class-given-z law has
+    the given intercepts."""
+    gen = GaussianGenConfig(
+        mixing_matrix=np.array([[0.3, 0.1], [0.0, 0.2], [0.1, 0.0]]),
+        class_offsets=np.array([[1.5, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 0.0]]),
+        conditional_params=SoftmaxParams(3, 2, intercepts, [[1.0, -0.5], [0.2, 0.8]]),
+    )
+    return generate_gaussian_family(gen, 600, seed=seed)
+
+
+@pytest.mark.parametrize("method", ["cpsm", "mlls", "naive"])
+def test_adapt_runs_the_three_class_em(tmp_path, method):
+    # A K = 3 source and a target with a shifted class-given-z law, through
+    # the CLI: the same posterior bytes as the library route on the same data.
+    source, target = _three_class_data([0.3, -0.2], 5), _three_class_data([-1.0, 0.8], 6)
+    write_dataset_csv(tmp_path / "source.csv", source.z, source.x, source.y)
+    write_dataset_csv(tmp_path / "target.csv", target.z, target.x, None)
+    out = tmp_path / method
+    assert main(["adapt", str(tmp_path / "source.csv"), str(tmp_path / "target.csv"),
+                 "--method", method, "--output", str(out)]) == 0
+    fit = bench.adapt(method, bench.SourceFit(source), target.unlabeled(), EmConfig())
+    write_posterior_csv(tmp_path / "library.csv", fit.target_posterior)
+    posterior = (tmp_path / f"{method}.posterior.csv").read_bytes()
+    assert posterior.startswith(b"p1,p2,p3\n")
+    assert posterior == (tmp_path / "library.csv").read_bytes()
+    doc = json.loads((tmp_path / f"{method}.fit.json").read_text())
+    assert doc["theta_hat"]["n_classes"] == 3
+    assert doc["iterations_run"] == fit.iterations_run
+    assert np.all(np.diff(doc["loglik_trace"]) >= 0.0)
 
 
 def test_adapt_schema_mismatch_exits_2(tmp_path):
@@ -285,6 +333,48 @@ def _bench_config(tmp_path, name="bench", **overrides):
     }
     doc.update(overrides)
     return _write_json(tmp_path / f"{name}.json", doc)
+
+
+@pytest.mark.parametrize("first, second", [("output_path", "aggregate_path"),
+                                           ("output_path", "input_csv"),
+                                           ("aggregate_path", "input_csv")])
+def test_benchmark_rejects_two_settings_that_name_one_file(tmp_path, capsys, first, second):
+    # Written as given, the second file would replace the first, or the
+    # metrics would replace the resample input; the paths are compared
+    # absolute and normalized.
+    input_csv = pathlib.Path(_labeled_csv(tmp_path))
+    paths = {"output_path": tmp_path / "m.csv", "aggregate_path": tmp_path / "agg.csv",
+             "input_csv": input_csv}
+    (paths[second].parent / "sub").mkdir()
+    paths[first] = paths[second].parent / "sub" / ".." / paths[second].name
+    paths = {name: str(path) for name, path in paths.items()}
+    before = input_csv.read_bytes()
+    config = _bench_config(
+        tmp_path, name="same",
+        generator={"kind": "resample", "input_csv": paths.pop("input_csv")},
+        grid={"a": [0.2], "k": [0.3], "n": [50]}, **paths,
+    )
+    capsys.readouterr()
+    assert main(["benchmark", config]) == 2
+    err = capsys.readouterr().err
+    assert f"validation error: {first} " in err and f"and {second} " in err
+    assert "name the same file" in err and "run failed" not in err
+    assert input_csv.read_bytes() == before
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "agg.csv").exists()
+
+
+def test_benchmark_rejects_an_output_linked_to_its_input(tmp_path, capsys):
+    input_csv = pathlib.Path(_labeled_csv(tmp_path))
+    (tmp_path / "link.csv").symlink_to(input_csv)
+    before = input_csv.read_bytes()
+    config = _bench_config(
+        tmp_path, name="linked", generator={"kind": "resample", "input_csv": str(input_csv)},
+        grid={"a": [0.2], "k": [0.3], "n": [50]}, output_path=str(tmp_path / "link.csv"),
+    )
+    assert main(["benchmark", config]) == 2
+    assert "name the same file" in capsys.readouterr().err
+    assert input_csv.read_bytes() == before
+    assert not (tmp_path / "linked_agg.csv").exists()
 
 
 def test_benchmark_row_count_and_order(tmp_path):

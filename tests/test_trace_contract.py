@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cpsm import softmax
-from cpsm.softmax import FitConfig
+from cpsm import em, softmax, synth
+from cpsm.em import EmConfig, SourceModels
+from cpsm.softmax import FitConfig, fit_hard
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -48,3 +49,27 @@ def test_traced_fit_soft_records_objective_rows():
     for name, _, _, parent, count in evals:
         assert parent == fits[0]
         assert count == n
+
+
+def test_traced_em_rounds_count_the_rounds_of_a_fit():
+    # perfbench's em.rounds counts the M-step fit_soft calls under a traced
+    # em.fit_cpsm, as the CLI reaches it through the package; a fit_cpsm
+    # bound before the tracer was installed is not traced, and reads 0.
+    source, target = synth.generate_pair(synth.SynthConfig(
+        dataset_kind="bernoulli_z", n_source=2000, n_target=2000, shift_slope=5.0,
+        target_prior=0.05, seed=1,
+    ))
+    models = SourceModels(fit_hard(source, FitConfig(), "zx"), fit_hard(source, FitConfig(), "z"))
+    config = EmConfig(max_em_iters=12)
+    tracing = _tracing()
+    fit_cpsm = em.fit_cpsm  # bound here, before the tracer patches em
+
+    def traced_rounds(through_module):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            fit = (em.fit_cpsm if through_module else fit_cpsm)(models, target.unlabeled(), config)
+        assert fit.iterations_run == 12
+        return tracing.em_rounds(tracer.spans)
+
+    assert traced_rounds(through_module=True) == (12, 0)
+    assert traced_rounds(through_module=False) == (0, 0)
