@@ -20,7 +20,10 @@ import numpy as np
 
 from .data import LabeledDataset, UnlabeledDataset, _write_blocks, read_labeled_csv
 from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
-from .errors import CpsmError, ValidationError, check_integers, document_errors, json_number
+from .errors import (
+    CpsmError, ValidationError, check_choice, check_files, check_integers, document_errors,
+    json_number,
+)
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
 from .softmax import FitConfig, SoftmaxParams, fit_hard
 from .synth import (
@@ -135,8 +138,7 @@ def parse_generator(doc, grid: bool = False, extra=()) -> Generator:
     and the block's own values for them are ignored. Each caller reports a
     fault of the block's form by `document_errors`."""
     kind = _as_json(doc, dict, "the generator").get("kind", "synthetic")
-    if kind not in _KINDS:
-        raise ValidationError(f"unknown generator kind {kind!r}")
+    check_choice("generator kind", kind, tuple(_KINDS))
     cls, run_fields = _KINDS[kind]
     extra = ("kind", "input_csv", *extra) if kind == "resample" else ("kind", *extra)
     settings = config_fields(cls, doc, supplied=run_fields if grid else (), extra=extra)
@@ -186,20 +188,10 @@ class ExperimentConfig:
         if not self.methods:
             raise ValidationError("methods list is empty")
         for m in self.methods:
-            if m not in METHODS:
-                raise ValidationError(f"unknown method {m!r}, expected one of {METHODS}")
+            check_choice("method", m, METHODS)
         check_integers(vars(self), repetitions=1)
-        # A file written over another, or over the input, would lose it;
-        # the real path also sees through a symbolic link.
-        paths = {"output_path": self.output_path, "aggregate_path": self.aggregate_path,
-                 "input_csv": self.generator.input_csv}
-        seen = {}
-        for name, path in paths.items():
-            other = seen.setdefault(os.path.realpath(path), name) if path else name
-            if other != name:
-                raise ValidationError(
-                    f"{other} {paths[other]!r} and {name} {path!r} name the same file"
-                )
+        check_files(output_path=self.output_path, aggregate_path=self.aggregate_path,
+                    input_csv=self.generator.input_csv)
         for _, run in self.runs():
             self.generator.config(**run)
 
@@ -245,12 +237,11 @@ class SourceFit:
 def adapt(method: str, source: SourceFit, target: UnlabeledDataset, em: EmConfig) -> CpsmFit:
     """One adaptation method on the target rows. `naive` is the zero-round
     EM, which reproduces the uncorrected source posterior."""
+    check_choice("method", method, ADAPT_METHODS)
     if method == "mlls":
         return fit_mlls(source.posterior_model, source.data.class_prior(), target, em)
     if method == "naive":
         em = replace(em, max_em_iters=0)
-    elif method != "cpsm":
-        raise ValidationError(f"unknown method {method!r}, expected one of {ADAPT_METHODS}")
     return fit_cpsm(source.models, target, em)
 
 
@@ -295,7 +286,11 @@ def run_single(
 
 
 def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
-    """Execute the grid, write the metrics CSV (and optional aggregate CSV)."""
+    """Execute the grid, write the metrics CSV (and optional aggregate CSV).
+    A missing output directory raises FileNotFoundError before the first run."""
+    for path in (config.output_path, config.aggregate_path):
+        if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(f"{path}: no such directory")
     rows: list[MetricRow] = []
     for (a, k, n, seed), run in config.runs():
         try:

@@ -21,7 +21,7 @@ from .data import (
     write_posterior_csv,
 )
 from .em import EmConfig, save_fit_json
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -30,15 +30,16 @@ EXIT_IO = 4
 
 
 def cmd_generate(args) -> int:
-    doc = read_json_object(args.config)
-    generator, out_dir = bench.parse_generation(doc)
-    source, target = generator.pair()
+    generator, out_dir = bench.parse_generation(read_json_object(args.config))
     # An empty directory, from the flag or the config, is the current one.
     out_dir = out_dir if args.output_dir is None else args.output_dir
-    os.makedirs(out_dir or os.curdir, exist_ok=True)
     source_path = os.path.join(out_dir, "source.csv")
     target_path = os.path.join(out_dir, "target.csv")
     labels_path = os.path.join(out_dir, "target_labels.csv")
+    check_files(input_csv=generator.input_csv, source=source_path, target=target_path,
+                target_labels=labels_path)
+    source, target = generator.pair()
+    os.makedirs(out_dir or os.curdir, exist_ok=True)
     write_dataset_csv(source_path, source.z, source.x, source.y)
     write_dataset_csv(target_path, target.z, target.x, None)
     write_labels_csv(labels_path, target.y)
@@ -49,6 +50,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_adapt(args) -> int:
+    json_path = f"{args.output}.fit.json"
+    posterior_path = f"{args.output}.posterior.csv"
+    check_files(source=args.source, target=args.target, fit_json=json_path,
+                posterior=posterior_path)
     source = read_labeled_csv(args.source, "source")
     z_t, x_t, y_t = read_dataset_csv(args.target)
     if y_t is not None:
@@ -62,9 +67,6 @@ def cmd_adapt(args) -> int:
 
     em_config = EmConfig(max_em_iters=args.max_em_iters, em_tolerance=args.em_tolerance)
     fit = bench.adapt(args.method, bench.SourceFit(source), target, em_config)
-
-    json_path = f"{args.output}.fit.json"
-    posterior_path = f"{args.output}.posterior.csv"
     save_fit_json(json_path, fit)
     write_posterior_csv(posterior_path, fit.target_posterior)
     print(f"method={args.method} iterations={fit.iterations_run} "

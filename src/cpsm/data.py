@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_choice
 
 
 def as_float_matrix(arr, name: str, rank: int | None = 2) -> np.ndarray:
@@ -97,11 +97,8 @@ class UnlabeledDataset:
 
     def features(self, block: str = "zx") -> np.ndarray:
         """Select a feature block: "z" or the stacked "zx"."""
-        if block == "z":
-            return self.z
-        if block == "zx":
-            return np.hstack([self.z, self.x])
-        raise ValidationError(f"unknown feature block {block!r}, expected 'z' or 'zx'")
+        check_choice("feature block", block, ("z", "zx"))
+        return self.z if block == "z" else np.hstack([self.z, self.x])
 
 
 @dataclass

@@ -30,7 +30,6 @@ row-wise arithmetic unchanged.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +37,7 @@ import numpy as np
 
 from .adjust import _reweight, check_posterior
 from .data import UnlabeledDataset, as_float_matrix, read_json_object
-from .errors import ValidationError, check_integers, check_reals, document_errors, json_number
+from .errors import POSITIVE, ValidationError, check_integers, check_reals, document_errors, json_number
 from .softmax import (
     FitConfig,
     SoftmaxParams,
@@ -85,11 +84,7 @@ class EmConfig:
 
     def __post_init__(self):
         check_integers(vars(self), max_em_iters=0)
-        check_reals(vars(self), "em_tolerance")
-        if not 0.0 < self.em_tolerance < math.inf:
-            raise ValidationError(
-                f"em_tolerance must be positive and finite, got {self.em_tolerance}"
-            )
+        check_reals(vars(self), em_tolerance=POSITIVE)
 
 
 @dataclass(frozen=True)

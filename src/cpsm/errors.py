@@ -1,6 +1,9 @@
-"""Exception classes shared across the package, the number rule of configs
-and scalar arguments, and the two rules of JSON documents: how a number is
-read from one, and the one wrapper that reports its faults as ValidationError.
+"""Exception classes shared across the package, and one copy of each rule
+that checks a setting: `check_integers` an integer's minimum, `check_reals` a
+real number's range (`PROBABILITY`, `POSITIVE`, `NONNEGATIVE` or `FINITE`),
+`check_choice` a name among a fixed few, `check_files` that no two files of a
+command are one, and for a JSON document, how `json_number` reads a number and
+the one wrapper `document_errors` that reports its faults as ValidationError.
 
 The CLI maps these onto distinct exit codes, so code that detects a bad
 input should raise ValidationError and code that detects a numerical
@@ -10,6 +13,7 @@ NumericalError.
 import contextlib
 import math
 import numbers
+import os
 
 
 class CpsmError(Exception):
@@ -36,12 +40,19 @@ def check_integers(values, **minimums) -> None:
             raise ValidationError(f"{name} must be >= {minimum}, got {value}")
 
 
-def check_reals(values, *names) -> None:
+# The ranges of `check_reals`: a test of the value, and what it must do.
+PROBABILITY = (lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+POSITIVE = (lambda v: 0.0 < v < math.inf, "be positive and finite")
+NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "be nonnegative and finite")
+FINITE = (math.isfinite, "be finite")
+
+
+def check_reals(values, *names, **ranges) -> None:
     """Raise ValidationError unless each `values[name]`, as in `check_integers`,
     is a real number that is not a bool, and a float can hold it: an int such
-    as 10**400 would pass every `<` test and then overflow. The rest of its
-    range is the caller's to check."""
-    for name in names:
+    as 10**400 would pass every `<` test and then overflow. A name given as a
+    keyword must also lie in its range; a NaN lies in none."""
+    for name in (*names, *ranges):
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be a real number, got {value!r}")
@@ -49,6 +60,26 @@ def check_reals(values, *names) -> None:
             float(value)
         except OverflowError:
             raise ValidationError(f"{name} must be a real number within the float range") from None
+    for name, (test, wording) in ranges.items():
+        if not test(values[name]):
+            raise ValidationError(f"{name} must {wording}, got {values[name]}")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Raise ValidationError unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ValidationError(f"unknown {name} {value!r}, expected one of {choices}")
+
+
+def check_files(**paths) -> None:
+    """Raise ValidationError if two of a command's files (None or empty: not
+    given) are one, which an output written as given would replace. The real
+    paths are compared, so a `..` or a symbolic link is seen through."""
+    seen = {}
+    for name, path in paths.items():
+        other = seen.setdefault(os.path.realpath(path), name) if path else name
+        if other != name:
+            raise ValidationError(f"{other} {paths[other]!r} and {name} {path!r} name the same file")
 
 
 def json_number(name: str, value, kind: type):

@@ -7,7 +7,7 @@ import numpy as np
 
 from .adjust import check_posterior
 from .data import LabeledDataset, _as_label_vector
-from .errors import ValidationError, check_reals
+from .errors import PROBABILITY, ValidationError, check_reals
 from .softmax import FitConfig, fit_hard, predict_proba
 
 
@@ -36,13 +36,11 @@ def classify(posterior, threshold: float | None = None) -> np.ndarray:
     p = check_posterior(posterior)
     if threshold is None:
         return np.argmax(p, axis=1) + 1
-    check_reals(locals(), "threshold")
+    check_reals(locals(), threshold=PROBABILITY)
     if p.shape[1] != 2:
         raise ValidationError(
             f"thresholded rule requires 2 classes, posterior has {p.shape[1]}"
         )
-    if not 0.0 < threshold < 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1), got {threshold}")
     return np.where(p[:, 0] > threshold, 1, 2)
 
 

@@ -19,14 +19,13 @@ step it solves, so a rejected line-search trial, the last iterate and
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adjust import check_posterior, fold_columns
 from .data import LabeledDataset, as_float_matrix
-from .errors import NumericalError, ValidationError, check_integers, check_reals
+from .errors import NONNEGATIVE, POSITIVE, NumericalError, ValidationError, check_integers, check_reals
 
 PROB_EPS = 1e-12
 # The smallest normal double: a probability below it has lost bits.
@@ -99,13 +98,7 @@ class FitConfig:
 
     def __post_init__(self):
         check_integers(vars(self), max_iters=1)
-        check_reals(vars(self), "tolerance", "l2_penalty")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if not 0.0 <= self.l2_penalty < math.inf:
-            raise ValidationError(
-                f"l2_penalty must be nonnegative and finite, got {self.l2_penalty}"
-            )
+        check_reals(vars(self), tolerance=POSITIVE, l2_penalty=NONNEGATIVE)
 
 
 def _shifted_scores(head: np.ndarray) -> np.ndarray:

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ValidationError, check_integers, check_reals
+from .errors import (
+    FINITE, NONNEGATIVE, PROBABILITY, ValidationError, check_choice, check_integers, check_reals,
+)
 
 BERNOULLI_Z = "bernoulli_z"
 GAUSSIAN_Z = "gaussian_z"
+Z_DISTRIBUTIONS = (BERNOULLI_Z, GAUSSIAN_Z)
 
 _BRACKET = 30.0
 # Trapezoid nodes for the N(0, 1) expectation of the Gaussian calibration:
@@ -53,22 +56,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dataset_kind not in (BERNOULLI_Z, GAUSSIAN_Z):
-            raise ValidationError(
-                f"dataset_kind must be '{BERNOULLI_Z}' or '{GAUSSIAN_Z}', got {self.dataset_kind!r}"
-            )
+        check_choice("dataset_kind", self.dataset_kind, Z_DISTRIBUTIONS)
         check_integers(vars(self), n_source=1, n_target=1, d_z=0, d_x=0, seed=0)
-        check_reals(vars(self), "source_cond_prob", "shift_slope", "target_prior")
+        check_reals(vars(self), source_cond_prob=PROBABILITY, shift_slope=NONNEGATIVE,
+                    target_prior=PROBABILITY)
         if self.d_x < self.d_z + 1:
             raise ValidationError(
                 f"d_x must be >= d_z + 1 to hold the class indicator plus z, got d_x={self.d_x}"
             )
-        if not 0.0 < self.source_cond_prob < 1.0:
-            raise ValidationError("source_cond_prob must lie in (0, 1)")
-        if not 0.0 < self.target_prior < 1.0:
-            raise ValidationError("target_prior must lie in (0, 1)")
-        if not 0.0 <= self.shift_slope < math.inf:
-            raise ValidationError(f"shift_slope must be >= 0 and finite, got {self.shift_slope}")
 
 
 def calibrate_intercept(
@@ -93,18 +88,15 @@ def calibrate_intercept(
     1 / (2 s), and the error grows with s; that range is not validated.
     Root found by bisection on [-30, 30].
     """
-    check_reals(locals(), "shift_slope", "target_prior")
+    check_reals(locals(), shift_slope=FINITE, target_prior=PROBABILITY)
     check_integers(locals(), d_z=0)
-    if not 0.0 < target_prior < 1.0:
-        raise ValidationError("target_prior must lie in (0, 1)")
-    if not math.isfinite(shift_slope):
-        raise ValidationError(f"shift_slope must be finite, got {shift_slope}")
+    check_choice("z distribution", z_dist, Z_DISTRIBUTIONS)
     if z_dist == BERNOULLI_Z:
         sums = shift_slope * np.arange(d_z + 1, dtype=float)
         # Integer true division rounds each weight correctly, where a float
         # 2.0**d_z overflows from d_z = 1024 on.
         weights = np.array([math.comb(d_z, s) / 2**d_z for s in range(d_z + 1)])
-    elif z_dist == GAUSSIAN_Z:
+    else:
         scale = shift_slope * math.sqrt(d_z)
         # Spacing _NODE_RANGE / half: at most 0.05, and 1 / (2 |scale|).
         half = math.ceil(2.0 * _NODE_RANGE * max(abs(scale), 10.0))
@@ -112,8 +104,6 @@ def calibrate_intercept(
         sums = scale * nodes
         weights = np.exp(-0.5 * nodes * nodes)
         weights /= weights.sum()
-    else:
-        raise ValidationError(f"unknown z distribution {z_dist!r}")
 
     def expected(t0: float) -> float:
         return float(weights @ _sigmoid(sums + t0))
@@ -191,9 +181,7 @@ class ShiftProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_reals(vars(self), "base_rate", "shift_delta")
-        if not 0.0 < self.base_rate < 1.0:
-            raise ValidationError("base_rate must lie in (0, 1)")
+        check_reals(vars(self), "shift_delta", base_rate=PROBABILITY)
         if not 0.0 < self.base_rate + self.shift_delta < 1.0:
             raise ValidationError("base_rate + shift_delta must lie in (0, 1)")
         check_integers(vars(self), n_source=1, n_target=1, conditioning_column=0, seed=0)
