@@ -38,11 +38,9 @@ def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
 def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
     """Validate an (n, K) row-stochastic probability matrix, read by
     `as_float_matrix`, with n equal to `n_rows` when given."""
-    p = as_float_matrix(probs, name)
+    p = as_float_matrix(probs, name, shape=(n_rows, None))
     if p.shape[1] < 2:
         raise ValidationError(f"{name} must hold K >= 2 classes, got {p.shape[1]}")
-    if n_rows is not None and p.shape[0] != n_rows:
-        raise ValidationError(f"{name}: {p.shape[0]} rows, expected {n_rows}")
     if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):
         raise ValidationError(f"{name} entries must lie in [0, 1]")
     sums = fold_columns(np.add, p)
@@ -72,12 +70,8 @@ def adjust_posterior(source_posterior, numerator, denominator) -> AdjustResult:
     surrogate that EM must not decrease.
     """
     p = check_posterior(source_posterior, "source_posterior")
-    num = as_float_matrix(numerator, "numerator")
-    den = as_float_matrix(denominator, "denominator")
-    if num.shape != p.shape or den.shape != p.shape:
-        raise ValidationError(
-            f"ratio shapes {num.shape} and {den.shape} do not match posterior shape {p.shape}"
-        )
+    num = as_float_matrix(numerator, "numerator", shape=p.shape)
+    den = as_float_matrix(denominator, "denominator", shape=p.shape)
     if np.any(num < 0) or np.any(den < 0):
         raise ValidationError("ratio matrices must be nonnegative")
     ratio = np.maximum(num, RATIO_MIN) / np.maximum(den, RATIO_MIN)

@@ -10,7 +10,6 @@ its data is recorded as a row with NaN metrics and the sweep continues.
 from __future__ import annotations
 
 import functools
-import os
 import sys
 import time
 import typing
@@ -21,8 +20,8 @@ import numpy as np
 from .data import LabeledDataset, UnlabeledDataset, _write_blocks, read_labeled_csv
 from .em import CpsmFit, EmConfig, fit_cpsm, fit_mlls, SourceModels
 from .errors import (
-    CpsmError, ValidationError, check_choice, check_files, check_integers, document_errors,
-    json_number,
+    CpsmError, ValidationError, check_choice, check_directories, check_files, check_integers,
+    document_errors, json_number,
 )
 from .metrics import MetricRow, approximation_error, balanced_accuracy, classify, fit_oracle
 from .softmax import FitConfig, SoftmaxParams, fit_hard
@@ -288,9 +287,7 @@ def run_single(
 def run_benchmark(config: ExperimentConfig) -> list[MetricRow]:
     """Execute the grid, write the metrics CSV (and optional aggregate CSV).
     A missing output directory raises FileNotFoundError before the first run."""
-    for path in (config.output_path, config.aggregate_path):
-        if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
-            raise FileNotFoundError(f"{path}: no such directory")
+    check_directories(config.output_path, config.aggregate_path)
     rows: list[MetricRow] = []
     for (a, k, n, seed), run in config.runs():
         try:

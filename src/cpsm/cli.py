@@ -21,7 +21,7 @@ from .data import (
     write_posterior_csv,
 )
 from .em import EmConfig, save_fit_json
-from .errors import NumericalError, ValidationError, check_files
+from .errors import NumericalError, ValidationError, check_directories, check_files
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,6 +54,7 @@ def cmd_adapt(args) -> int:
     posterior_path = f"{args.output}.posterior.csv"
     check_files(source=args.source, target=args.target, fit_json=json_path,
                 posterior=posterior_path)
+    check_directories(json_path, posterior_path)
     source = read_labeled_csv(args.source, "source")
     z_t, x_t, y_t = read_dataset_csv(args.target)
     if y_t is not None:

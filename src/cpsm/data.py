@@ -20,21 +20,26 @@ import numpy as np
 from .errors import ValidationError, check_choice
 
 
-def as_float_matrix(arr, name: str, rank: int | None = 2) -> np.ndarray:
-    """`arr` as a float array of `rank` dimensions (None: any rank) with finite
-    entries, uncopied if it is one: the rule of every public numeric input. A
-    string, even a numeric one such as "1.5", ragged rows, 10**400, NaN or inf
-    raises ValidationError."""
-    article, noun = {1: ("a", "vector"), 2: ("a", "matrix")}.get(rank, ("an", "array"))
+def as_float_matrix(arr, name: str, shape: tuple = (None, None)) -> np.ndarray:
+    """`arr` as a float array of `shape` with finite entries, uncopied if it
+    is one: the rule of every public numeric input. The tuple's length is the
+    rank, and a None in it allows any size on that axis. A string, even a
+    numeric one such as "1.5", ragged rows, 10**400, NaN or inf raises
+    ValidationError, and so do a wrong rank and a wrong size, the latter as
+    "{name} shape {got} != {want}": nothing is reshaped."""
+    noun = "vector" if len(shape) == 1 else "matrix"
     try:
         out = np.asarray(arr)
         if out.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in out.flat):
             raise TypeError  # numpy would parse "1.5"; the number rule does not
         out = out.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # strings, ragged rows, 10**400
-        raise ValidationError(f"{name} must be {article} {noun} of numbers") from None
-    if rank is not None and out.ndim != rank:
-        raise ValidationError(f"{name} must be a {rank}-D {noun}, got ndim={out.ndim}")
+        raise ValidationError(f"{name} must be a {noun} of numbers") from None
+    if out.ndim != len(shape):
+        raise ValidationError(f"{name} must be a {len(shape)}-D {noun}, got ndim={out.ndim}")
+    want = tuple(got if size is None else size for got, size in zip(out.shape, shape))
+    if out.shape != want:
+        raise ValidationError(f"{name} shape {out.shape} != {want}")
     if out.size and not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite values")
     return out
@@ -77,11 +82,7 @@ class UnlabeledDataset:
 
     def __post_init__(self):
         self.z = as_float_matrix(self.z, "z")
-        self.x = as_float_matrix(self.x, "x")
-        if self.z.shape[0] != self.x.shape[0]:
-            raise ValidationError(
-                f"row mismatch: z has {self.z.shape[0]}, x has {self.x.shape[0]}"
-            )
+        self.x = as_float_matrix(self.x, "x", shape=(self.z.shape[0], None))
 
     @property
     def n_rows(self) -> int:

@@ -192,7 +192,7 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
 def params_from_prior(prior) -> SoftmaxParams:
     """Intercept-only model whose probabilities equal the given prior: a
     vector that `check_posterior` accepts as a one-row posterior."""
-    row = as_float_matrix(prior, "prior", rank=1)[None, :]
+    row = as_float_matrix(prior, "prior", shape=(None,))[None, :]
     return _intercept_model(clamp_probs(check_posterior(row, "prior")[0]))
 
 

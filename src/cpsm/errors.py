@@ -2,8 +2,9 @@
 that checks a setting: `check_integers` an integer's minimum, `check_reals` a
 real number's range (`PROBABILITY`, `POSITIVE`, `NONNEGATIVE` or `FINITE`),
 `check_choice` a name among a fixed few, `check_files` that no two files of a
-command are one, and for a JSON document, how `json_number` reads a number and
-the one wrapper `document_errors` that reports its faults as ValidationError.
+command are one, `check_directories` that an output's directory exists, and
+for a JSON document, how `json_number` reads a number and the one wrapper
+`document_errors` that reports its faults as ValidationError.
 
 The CLI maps these onto distinct exit codes, so code that detects a bad
 input should raise ValidationError and code that detects a numerical
@@ -80,6 +81,16 @@ def check_files(**paths) -> None:
         other = seen.setdefault(os.path.realpath(path), name) if path else name
         if other != name:
             raise ValidationError(f"{other} {paths[other]!r} and {name} {path!r} name the same file")
+
+
+def check_directories(*paths) -> None:
+    """Raise FileNotFoundError, an I/O error, if the directory of an output
+    path (None or empty: not given) does not exist: checked before a command
+    does any work, so that a missing directory does not end it at its first
+    write."""
+    for path in paths:
+        if path and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(f"{path}: no such directory")
 
 
 def json_number(name: str, value, kind: type):

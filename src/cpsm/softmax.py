@@ -58,17 +58,9 @@ class SoftmaxParams:
     def __post_init__(self):
         check_integers(vars(self), n_classes=2, n_features=0)
         # Copies, so that the caller's arrays do not alias the model.
-        intercepts = np.array(as_float_matrix(self.intercepts, "intercepts", rank=None).reshape(-1))
-        slopes = np.array(as_float_matrix(self.slopes, "slopes", rank=None))
-        if intercepts.shape != (self.n_classes - 1,):
-            raise ValidationError(
-                f"intercepts shape {intercepts.shape} != ({self.n_classes - 1},)"
-            )
-        if slopes.size != (self.n_classes - 1) * self.n_features:
-            raise ValidationError(
-                f"slopes shape {slopes.shape} != ({self.n_classes - 1}, {self.n_features})"
-            )
-        slopes = slopes.reshape(self.n_classes - 1, self.n_features)
+        rows = self.n_classes - 1
+        intercepts = np.array(as_float_matrix(self.intercepts, "intercepts", shape=(rows,)))
+        slopes = np.array(as_float_matrix(self.slopes, "slopes", shape=(rows, self.n_features)))
         intercepts.setflags(write=False)
         slopes.setflags(write=False)
         object.__setattr__(self, "intercepts", intercepts)
@@ -123,11 +115,7 @@ def _softmax(head: np.ndarray) -> np.ndarray:
 
 def predict_proba(params: SoftmaxParams, features) -> np.ndarray:
     """Row-stochastic (n, K) class probabilities."""
-    feats = as_float_matrix(features, "features")
-    if feats.shape[1] != params.n_features:
-        raise ValidationError(
-            f"feature dimension mismatch: model expects {params.n_features}, got {feats.shape[1]}"
-        )
+    feats = as_float_matrix(features, "features", shape=(None, params.n_features))
     return _softmax(feats @ params.slopes.T + params.intercepts)
 
 
@@ -278,10 +266,8 @@ def _problem(features, targets, model: SoftmaxParams | None = None, sample_weigh
     t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
     n, d = feats.shape
     weights = np.ones(n) if sample_weights is None else as_float_matrix(
-        sample_weights, "sample_weights", rank=1
+        sample_weights, "sample_weights", shape=(n,)
     )
-    if weights.shape != (n,):
-        raise ValidationError("sample_weights length must match rows")
     if np.any(weights < 0):
         raise ValidationError("sample_weights must be finite and nonnegative")
     if model is None:

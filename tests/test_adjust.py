@@ -96,7 +96,7 @@ def test_non_stochastic_posterior_rejected():
     "probs, message",
     [
         ([0.5, 0.5], "posterior must be a 2-D matrix, got ndim=1"),
-        ([[0.5, 0.5]] * 3, "3 rows, expected 2"),
+        ([[0.5, 0.5]] * 3, r"posterior shape \(3, 2\) != \(2, 2\)"),
         ([[1.5, -0.5], [0.5, 0.5]], r"entries must lie in \[0, 1\]"),
         ([[math.nan, 1.0], [0.5, 0.5]], "posterior contains non-finite values"),
         ([[0.5, 0.5], [math.nan, math.nan]], "posterior contains non-finite values"),

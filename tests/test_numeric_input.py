@@ -3,6 +3,7 @@ reads an array through `as_float_matrix` (labels through the label reader)
 and a scalar by the config classes' number rule, so malformed input raises
 ValidationError and never a raw ValueError, TypeError or OverflowError."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ def test_each_reader_takes_its_valid_value(reader):
     call(good)
 
 
-@pytest.mark.parametrize("slopes", [[[1.0], [2.0]], [1.0, 2.0]], ids=["matrix", "flat"])
+@pytest.mark.parametrize("slopes", [[[1.0], [2.0]]], ids=["matrix"])
 def test_a_model_does_not_alias_the_callers_arrays(slopes):
     intercepts, slopes = np.array([0.5, -0.5]), np.array(slopes)
     params = SoftmaxParams(3, 1, intercepts, slopes)
@@ -132,6 +133,59 @@ def test_a_model_does_not_alias_the_callers_arrays(slopes):
     slopes[:] = 9.0
     assert params.intercepts.tolist() == [0.5, -0.5]
     assert params.slopes.tolist() == [[1.0], [2.0]]
+
+
+# Each read site of an array of fixed size, given one wrong size, and the
+# shape rule's message. A model's arrays are read at (K-1,) and (K-1, d) and
+# never reshaped, so transposed or flat slopes are refused, not scrambled.
+_TRANSPOSED = np.arange(6.0).reshape(3, 2)
+_WRONG_SIZES = {
+    "SoftmaxParams-intercepts": (
+        lambda: SoftmaxParams(3, 1, [0.5, -0.5, 0.0], [[1.0], [2.0]]),
+        "intercepts shape (3,) != (2,)",
+    ),
+    "SoftmaxParams-slopes": (
+        lambda: SoftmaxParams(3, 1, [0.5, -0.5], [[1.0, 2.0], [2.0, 1.0]]),
+        "slopes shape (2, 2) != (2, 1)",
+    ),
+    "predict_proba": (lambda: predict_proba(_MODEL, [[0.0, 1.0]]), "features shape (1, 2) != (1, 1)"),
+    "fit_soft-sample_weights": (
+        lambda: fit_soft(_FEATURES, _POSTERIOR, FitConfig(), sample_weights=[1.0, 2.0, 3.0]),
+        "sample_weights shape (3,) != (2,)",
+    ),
+    "check_posterior": (lambda: check_posterior(_POSTERIOR, n_rows=3), "posterior shape (2, 2) != (3, 2)"),
+    "adjust_posterior-numerator": (
+        lambda: adjust_posterior(_POSTERIOR, [[1.0, 1.0]], _ONES), "numerator shape (1, 2) != (2, 2)"
+    ),
+    "adjust_posterior-denominator": (
+        lambda: adjust_posterior(_POSTERIOR, _ONES, [[1.0, 1.0, 1.0]] * 2),
+        "denominator shape (2, 3) != (2, 2)",
+    ),
+    "UnlabeledDataset": (lambda: UnlabeledDataset(z=_FEATURES, x=[[0.0]]), "x shape (1, 1) != (2, 1)"),
+    "params_from_prior": (lambda: params_from_prior([[0.25, 0.75]]), "prior must be a 1-D vector, got ndim=2"),
+    "transposed-slopes": (
+        lambda: SoftmaxParams(3, 3, np.zeros(2), _TRANSPOSED), "slopes shape (3, 2) != (2, 3)"
+    ),
+    "transposed-slopes-document": (
+        lambda: params_from_dict(_model_document(
+            n_features=3, intercepts=[0.0, 0.0], slopes=_TRANSPOSED.tolist()
+        )),
+        "slopes shape (3, 2) != (2, 3)",
+    ),
+    "flat-slopes": (
+        lambda: SoftmaxParams(3, 1, [0.5, -0.5], [1.0, 2.0]), "slopes must be a 2-D matrix, got ndim=1"
+    ),
+    "matrix-intercepts": (
+        lambda: SoftmaxParams(2, 1, [[0.5]], [[1.0]]), "intercepts must be a 1-D vector, got ndim=2"
+    ),
+}
+
+
+@pytest.mark.parametrize("site", _WRONG_SIZES)
+def test_each_site_reads_its_array_at_its_shape(site):
+    call, message = _WRONG_SIZES[site]
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 _CELLS = st.one_of(
@@ -144,15 +198,16 @@ _CELLS = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.recursive(_CELLS, lambda inner: st.lists(inner, max_size=3), max_leaves=10),
-       st.sampled_from([1, 2, None]))
-def test_the_reader_gives_finite_floats_or_a_validation_error(value, rank):
+       st.sampled_from([(None,), (2,), (None, None), (None, 1), (2, None), (1, 2)]))
+def test_the_reader_gives_finite_floats_or_a_validation_error(value, shape):
     try:
-        out = as_float_matrix(value, "value", rank=rank)
+        out = as_float_matrix(value, "value", shape=shape)
     except ValidationError:
         return
     assert out.dtype == np.float64
     assert np.all(np.isfinite(out))
-    assert rank is None or out.ndim == rank
+    assert out.ndim == len(shape)
+    assert all(size is None or got == size for got, size in zip(out.shape, shape))
 
 
 def _as_text(good: list, kind: str):

@@ -21,7 +21,7 @@ from cpsm import (
     classify,
     generate_pair,
 )
-from cpsm import bench
+from cpsm import bench, cli
 from cpsm.cli import main
 from cpsm.data import write_dataset_csv
 
@@ -150,6 +150,25 @@ def test_benchmark_with_a_missing_output_directory_fails_before_its_first_run(
     assert main(["benchmark", str(config)]) == 4
     assert f"i/o error: {paths[setting]}: no such directory" in capsys.readouterr().err
     assert _snapshot(tmp_path) == before
+
+
+def test_adapt_with_a_missing_output_directory_fails_before_reading_a_csv(
+        tmp_path, capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a CSV was read")
+
+    monkeypatch.setattr(cli, "read_labeled_csv", never)
+    monkeypatch.setattr(cli, "read_dataset_csv", never)
+    source = _labeled_csv(tmp_path / "source.csv")
+    _, target = generate_pair(SynthConfig("bernoulli_z", n_source=10, n_target=30, d_z=2, d_x=3))
+    write_dataset_csv(tmp_path / "target.csv", target.z, target.x, None)
+    prefix = tmp_path / "nodir" / "x"
+    before = _snapshot(tmp_path)
+    capsys.readouterr()
+    assert main(["adapt", str(source), str(tmp_path / "target.csv"), "--output", str(prefix)]) == 4
+    assert f"i/o error: {prefix}.fit.json: no such directory" in capsys.readouterr().err
+    assert _snapshot(tmp_path) == before
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_outputs_in_the_current_directory_need_no_directory(tmp_path, monkeypatch):

@@ -66,8 +66,8 @@ def test_dimension_mismatch_rejected():
     # Parameters of the wrong size or type, and a class count that is no
     # integer, each built directly.
     for args, message in [
-        ((3, 2, [0, 0], [1, 2, 3]), r"slopes shape \(3,\) != \(2, 2\)"),
-        ((2, 1, ["a"], [[1]]), "intercepts must be an array of numbers"),
+        ((3, 2, [0, 0], [1, 2, 3]), "slopes must be a 2-D matrix, got ndim=1"),
+        ((2, 1, ["a"], [[1]]), "intercepts must be a vector of numbers"),
         ((2.5, 1, [0], [[1]]), "n_classes must be an integer, got 2.5"),
     ]:
         with pytest.raises(ValidationError, match=message):
@@ -348,7 +348,7 @@ def test_bad_parameters_rejected(intercepts, message):
 
 @pytest.mark.parametrize(
     "sample_weights, message",
-    [([1.0, 1.0], "sample_weights length must match rows"),
+    [([1.0, 1.0], r"sample_weights shape \(2,\) != \(3,\)"),
      ([1.0, -1.0, 1.0], "sample_weights must be finite and nonnegative")],
     ids=["length", "negative"],
 )

@@ -570,7 +570,7 @@ def test_labels_that_are_not_whole_numbers_are_rejected(labels):
         (lambda: LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=[0, 1]),
          "labels must be 1-based positive integers"),
         (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((3, 1))),
-         "row mismatch: z has 2, x has 3"),
+         r"x shape \(3, 1\) != \(2, 1\)"),
         (lambda: LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=[1, 2, 1]),
          "row mismatch: z has 2, x has 2, y has 3"),
         (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1))).features("x"),
