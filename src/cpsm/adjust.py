@@ -35,10 +35,11 @@ def fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_posterior(probs, name: str = "posterior", n_rows: int | None = None) -> np.ndarray:
+def check_posterior(probs, name: str = "posterior", shape: tuple = (None, None)) -> np.ndarray:
     """Validate an (n, K) row-stochastic probability matrix, read by
-    `as_float_matrix`, with n equal to `n_rows` when given."""
-    p = as_float_matrix(probs, name, shape=(n_rows, None))
+    `as_float_matrix` at `shape`: a None allows any size on that axis, and a
+    wrong size raises "{name} shape {got} != {want}"."""
+    p = as_float_matrix(probs, name, shape=shape)
     if p.shape[1] < 2:
         raise ValidationError(f"{name} must hold K >= 2 classes, got {p.shape[1]}")
     if not np.all((p >= -1e-12) & (p <= 1.0 + 1e-12)):

@@ -50,7 +50,8 @@ _MAX_LABEL = int(np.iinfo(int).max)
 
 
 def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
-    """`arr` as a 1-D int vector of labels >= 1, or ValidationError naming `name`."""
+    """`arr` as a 1-D int vector of labels >= 1, uncopied if it is one, or
+    ValidationError naming `name`."""
     try:
         y = np.asarray(arr)
     except ValueError:  # ragged rows
@@ -67,7 +68,7 @@ def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
         whole = y.dtype.kind in "iu"  # not booleans, strings, None or other objects
     if not whole:
         raise ValidationError(f"{name} must be integers")
-    yi = y.astype(int)
+    yi = y.astype(int, copy=False)
     if yi.min() < 1:
         raise ValidationError(f"{name} must be 1-based positive integers")
     return yi
@@ -146,20 +147,40 @@ def _write_blocks(path, header: list[str], line: str, *columns: np.ndarray) -> N
             fh.write((line + "\n") * len(cells) % tuple(cells.ravel()))
 
 
+def _label_column(y) -> np.ndarray:
+    """`y` as an (n, 1) column, read by `_as_label_vector` when it has rows."""
+    y = np.asarray(y)
+    return (_as_label_vector(y, "y") if y.size else y).reshape(-1, 1)
+
+
 def write_dataset_csv(path, z: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> None:
-    """Write rows as ``y,z1..,x1..``; y cells are left empty when y is None."""
+    """Write rows as ``y,z1..,x1..``; y cells are left empty when y is None.
+
+    z and x must be 2-D and y, when given, 1-D, all of one row count, or a
+    ValidationError names every shape; y must hold labels as
+    `LabeledDataset` reads them. Either fault is raised before the file is
+    opened. Feature cells may be NaN or infinite, and a file may have no
+    rows."""
     z = np.asarray(z, dtype=float)
     x = np.asarray(x, dtype=float)
+    arrays = {"z": z, "x": x} if y is None else {"z": z, "x": x, "y": np.asarray(y)}
+    if any(a.ndim != (1 if name == "y" else 2) or a.shape[:1] != z.shape[:1]
+           for name, a in arrays.items()):
+        got = ", ".join(f"{name} {a.shape}" for name, a in arrays.items())
+        raise ValidationError(f"z and x must be 2-D and y 1-D, all of one row count; got {got}")
     d_z, d_x = z.shape[1], x.shape[1]
     header = ["y"] + [f"z{i}" for i in range(1, d_z + 1)] + [f"x{i}" for i in range(1, d_x + 1)]
-    labels = [] if y is None else [np.asarray(y).reshape(-1, 1)]
+    labels = [] if y is None else [_label_column(arrays["y"])]
     # csv quotes one cell here: a row of a lone empty cell is `""`.
     line = ",".join(["" if y is None else "%d"] + ["%r"] * (d_z + d_x)) or '""'
     _write_blocks(path, header, line, *labels, z, x)
 
 
 def write_labels_csv(path, y: np.ndarray) -> None:
-    _write_blocks(path, ["y"], "%d", np.asarray(y).reshape(-1, 1))
+    """Write labels as the lone column ``y``; they are read as
+    `LabeledDataset` reads them, so a fraction or a bool raises
+    ValidationError before the file is opened."""
+    _write_blocks(path, ["y"], "%d", _label_column(y))
 
 
 def write_posterior_csv(path, posterior: np.ndarray) -> None:

@@ -151,19 +151,14 @@ def fit_cpsm(source: SourceModels, target: UnlabeledDataset, config: EmConfig) -
     Iteration 0 therefore reproduces the uncorrected source posterior, and a
     target with no shift is a fixed point. Stops when the surrogate improves
     by less than `em_tolerance` or after `max_em_iters` rounds.
+
+    The models' sizes fix the target's shapes: z is read at
+    (n, conditional_model.n_features), also for a zero-round fit that never
+    scores z, and [z | x] at (n, posterior_model.n_features).
     """
     if target.n_rows == 0:
         raise ValidationError("target dataset is empty")
-    if source.conditional_model.n_features != target.d_z:
-        raise ValidationError(
-            f"conditional model expects {source.conditional_model.n_features} conditioning "
-            f"features, target has {target.d_z}"
-        )
-    if source.posterior_model.n_features != target.d_z + target.d_x:
-        raise ValidationError(
-            f"posterior model expects {source.posterior_model.n_features} features, "
-            f"target has {target.d_z + target.d_x}"
-        )
+    as_float_matrix(target.z, "target z", shape=(None, source.conditional_model.n_features))
     p_xz = clamp_probs(predict_proba(source.posterior_model, target.features("zx")))
     # Iteration 0 scores the source conditional model itself: q = p, a ratio
     # of 1. Only the later rounds need the z patterns and p(y | z).
@@ -214,12 +209,8 @@ def fit_mlls(
     intercept-only, so only the class prior is re-estimated; `estimated_prior`
     of the result is that estimate.
     """
-    conditional = params_from_prior(source_prior)
-    if conditional.n_classes != source_posterior_only.n_classes:
-        raise ValidationError(
-            f"prior length {conditional.n_classes} does not match model classes "
-            f"{source_posterior_only.n_classes}"
-        )
+    prior = as_float_matrix(source_prior, "prior", shape=(source_posterior_only.n_classes,))
+    conditional = params_from_prior(prior)
     merged = UnlabeledDataset(z=np.zeros((target.n_rows, 0)), x=target.features("zx"))
     source = SourceModels(posterior_model=source_posterior_only, conditional_model=conditional)
     return fit_cpsm(source, merged, config)

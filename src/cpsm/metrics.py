@@ -33,14 +33,10 @@ def classify(posterior, threshold: float | None = None) -> np.ndarray:
     strictly exceeds it, else label 2. Without: argmax with lowest class
     index winning ties.
     """
-    p = check_posterior(posterior)
+    p = check_posterior(posterior, shape=(None, None if threshold is None else 2))
     if threshold is None:
         return np.argmax(p, axis=1) + 1
     check_reals(locals(), threshold=PROBABILITY)
-    if p.shape[1] != 2:
-        raise ValidationError(
-            f"thresholded rule requires 2 classes, posterior has {p.shape[1]}"
-        )
     return np.where(p[:, 0] > threshold, 1, 2)
 
 
@@ -64,9 +60,7 @@ def balanced_accuracy(y_true, y_pred) -> float:
 def approximation_error(method_posterior, oracle_posterior) -> float:
     """Mean absolute class-1 posterior gap against the labeled-target reference."""
     p = check_posterior(method_posterior, "method_posterior")
-    q = check_posterior(oracle_posterior, "oracle_posterior")
-    if p.shape != q.shape:
-        raise ValidationError(f"posterior shapes differ: {p.shape} vs {q.shape}")
+    q = check_posterior(oracle_posterior, "oracle_posterior", shape=p.shape)
     return float(np.mean(np.abs(p[:, 0] - q[:, 0])))
 
 

@@ -260,25 +260,20 @@ def _newton(objective, w0: np.ndarray, config: FitConfig):
 
 def _problem(features, targets, model: SoftmaxParams | None = None, sample_weights=None):
     """Validated (w0, aug, targets, weights) for `_objective`: w0 is the
-    weight block of `model`, of the problem's shape, or zeros without one,
-    and every row weighs 1 unless `sample_weights` says otherwise."""
-    feats = as_float_matrix(features, "features")
-    t = check_posterior(targets, "soft targets", n_rows=feats.shape[0])
+    weight block of `model`, or zeros without one, and every row weighs 1
+    unless `sample_weights` says otherwise. A model's sizes fix the shapes
+    read: features at (n, model.n_features) and targets at
+    (n, model.n_classes)."""
+    d, k = (None, None) if model is None else (model.n_features, model.n_classes)
+    feats = as_float_matrix(features, "features", shape=(None, d))
     n, d = feats.shape
+    t = check_posterior(targets, "soft targets", shape=(n, k))
     weights = np.ones(n) if sample_weights is None else as_float_matrix(
         sample_weights, "sample_weights", shape=(n,)
     )
     if np.any(weights < 0):
         raise ValidationError("sample_weights must be finite and nonnegative")
-    if model is None:
-        w0 = np.zeros((t.shape[1] - 1, 1 + d))
-    elif (model.n_classes, model.n_features) != (t.shape[1], d):
-        raise ValidationError(
-            f"model shape ({model.n_classes}, {model.n_features}) does not match "
-            f"problem ({t.shape[1]}, {d})"
-        )
-    else:
-        w0 = model.weight_matrix()
+    w0 = np.zeros((t.shape[1] - 1, 1 + d)) if model is None else model.weight_matrix()
     return w0, _augment(feats), t, weights
 
 

@@ -215,12 +215,12 @@ def _resample(
     rng: np.random.Generator,
     data: LabeledDataset,
     strata: dict,
-    n_rows: int,
+    size: int,
     p_z1: float,
     rate_by_z: tuple[float, float],
 ) -> LabeledDataset:
-    n_z1 = int(math.floor(n_rows * p_z1 + 0.5))
-    n_z0 = n_rows - n_z1
+    n_z1 = int(math.floor(size * p_z1 + 0.5))
+    n_z0 = size - n_z1
     picked = []
     for zval, n_z, rate in ((0, n_z0, rate_by_z[0]), (1, n_z1, rate_by_z[1])):
         n_pos = int(math.floor(rate * n_z + 0.5))

@@ -105,7 +105,7 @@ def test_non_stochastic_posterior_rejected():
 )
 def test_check_posterior_rejects(probs, message):
     with pytest.raises(ValidationError, match=message):
-        check_posterior(probs, n_rows=2)
+        check_posterior(probs, shape=(2, None))
 
 
 def test_negative_ratio_entries_rejected():

@@ -328,3 +328,52 @@ def test_writing_a_long_file_holds_a_few_blocks_of_cells(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20, peak
+
+
+# Arrays the writers refuse, and the message, raised before the file is
+# opened: rows of z, x and y that would not line up, or labels that "%d"
+# would truncate (1.7 written as 1) or that the reader refuses (False as 0).
+_Z = np.zeros((300, 2))
+_UNALIGNED = "z and x must be 2-D and y 1-D, all of one row count; got "
+_UNWRITABLE = {
+    "x-more-rows": (
+        lambda path: write_dataset_csv(path, np.zeros((256, 2)), np.zeros((300, 3)), None),
+        _UNALIGNED + "z (256, 2), x (300, 3)",
+    ),
+    "y-fewer-rows": (
+        lambda path: write_dataset_csv(path, _Z, _Z, np.ones(256, dtype=int)),
+        _UNALIGNED + "z (300, 2), x (300, 2), y (256,)",
+    ),
+    "x-fewer-rows": (
+        lambda path: write_dataset_csv(path, _Z, np.zeros((299, 1)), None),
+        _UNALIGNED + "z (300, 2), x (299, 1)",
+    ),
+    "z-1-D": (
+        lambda path: write_dataset_csv(path, np.zeros(300), _Z, None),
+        _UNALIGNED + "z (300,), x (300, 2)",
+    ),
+    "y-2-D": (
+        lambda path: write_dataset_csv(path, _Z, _Z, np.ones((300, 1), dtype=int)),
+        _UNALIGNED + "z (300, 2), x (300, 2), y (300, 1)",
+    ),
+    "dataset-fraction": (
+        lambda path: write_dataset_csv(path, _Z[:2], _Z[:2], [1.5, 2.0]), "y must be integers"
+    ),
+    "dataset-bool": (
+        lambda path: write_dataset_csv(path, _Z[:2], _Z[:2], [True, False]), "y must be integers"
+    ),
+    "labels-fraction": (lambda path: write_labels_csv(path, [1.7, 2.2]), "y must be integers"),
+    "labels-bool": (lambda path: write_labels_csv(path, [True, False]), "y must be integers"),
+    "labels-zero": (
+        lambda path: write_labels_csv(path, [1, 0]), "y must be 1-based positive integers"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _UNWRITABLE)
+def test_the_writers_refuse_what_they_cannot_write_whole(tmp_path, case):
+    write, message = _UNWRITABLE[case]
+    with pytest.raises(ValidationError) as caught:
+        write(tmp_path / "out.csv")
+    assert str(caught.value) == message
+    assert not (tmp_path / "out.csv").exists()

@@ -16,14 +16,18 @@ from cpsm import (
     LabeledDataset,
     ShiftProtocolConfig,
     SoftmaxParams,
+    SourceModels,
     SynthConfig,
     UnlabeledDataset,
     ValidationError,
     adjust_posterior,
     approximation_error,
     balanced_accuracy,
+    bench,
     calibrate_intercept,
     classify,
+    fit_cpsm,
+    fit_mlls,
     fit_soft,
     log_likelihood,
     params_from_dict,
@@ -135,6 +139,17 @@ def test_a_model_does_not_alias_the_callers_arrays(slopes):
     assert params.slopes.tolist() == [[1.0], [2.0]]
 
 
+# A target whose z is 1 column wide and whose [z | x] is 3.
+_NARROW_Z = UnlabeledDataset(z=np.zeros((4, 1)), x=np.zeros((4, 2)))
+
+
+def _naive_adapt_of_a_narrower_target():
+    # Source z has 2 columns and x 1, so [z | x] has the posterior model's 3
+    # columns and only z is of another width.
+    source = LabeledDataset(z=np.zeros((4, 2)), x=np.zeros((4, 1)), y=_LABELS)
+    return bench.adapt("naive", bench.SourceFit(source), _NARROW_Z, EmConfig())
+
+
 # Each read site of an array of fixed size, given one wrong size, and the
 # shape rule's message. A model's arrays are read at (K-1,) and (K-1, d) and
 # never reshaped, so transposed or flat slopes are refused, not scrambled.
@@ -153,7 +168,9 @@ _WRONG_SIZES = {
         lambda: fit_soft(_FEATURES, _POSTERIOR, FitConfig(), sample_weights=[1.0, 2.0, 3.0]),
         "sample_weights shape (3,) != (2,)",
     ),
-    "check_posterior": (lambda: check_posterior(_POSTERIOR, n_rows=3), "posterior shape (2, 2) != (3, 2)"),
+    "check_posterior": (
+        lambda: check_posterior(_POSTERIOR, shape=(3, None)), "posterior shape (2, 2) != (3, 2)"
+    ),
     "adjust_posterior-numerator": (
         lambda: adjust_posterior(_POSTERIOR, [[1.0, 1.0]], _ONES), "numerator shape (1, 2) != (2, 2)"
     ),
@@ -177,6 +194,41 @@ _WRONG_SIZES = {
     ),
     "matrix-intercepts": (
         lambda: SoftmaxParams(2, 1, [[0.5]], [[1.0]]), "intercepts must be a 1-D vector, got ndim=2"
+    ),
+    # A model's sizes (or another array) fix these shapes. A zero-round fit
+    # never scores z, yet its conditional model still fixes z's width.
+    "_problem-features": (
+        lambda: fit_soft(_FEATURES, _POSTERIOR, FitConfig(), init=zero_params(2, 2)),
+        "features shape (2, 1) != (2, 2)",
+    ),
+    "_problem-targets": (
+        lambda: log_likelihood(zero_params(3, 1), _FEATURES, _POSTERIOR),
+        "soft targets shape (2, 2) != (2, 3)",
+    ),
+    "fit_cpsm-z": (
+        lambda: fit_cpsm(SourceModels(zero_params(2, 3), zero_params(2, 2)), _NARROW_Z, EmConfig()),
+        "target z shape (4, 1) != (4, 2)",
+    ),
+    "fit_cpsm-z-zero-rounds": (
+        lambda: fit_cpsm(SourceModels(zero_params(2, 3), zero_params(2, 2)), _NARROW_Z,
+                         EmConfig(max_em_iters=0)),
+        "target z shape (4, 1) != (4, 2)",
+    ),
+    "adapt-naive-z": (_naive_adapt_of_a_narrower_target, "target z shape (4, 1) != (4, 2)"),
+    "fit_cpsm-posterior-width": (
+        lambda: fit_cpsm(SourceModels(zero_params(2, 4), zero_params(2, 1)), _NARROW_Z, EmConfig()),
+        "features shape (4, 3) != (4, 4)",
+    ),
+    "fit_mlls-prior": (
+        lambda: fit_mlls(zero_params(2, 3), [0.5, 0.3, 0.2], _NARROW_Z, EmConfig()),
+        "prior shape (3,) != (2,)",
+    ),
+    "classify-threshold": (
+        lambda: classify([[0.2, 0.3, 0.5]], threshold=0.5), "posterior shape (1, 3) != (1, 2)"
+    ),
+    "approximation_error-oracle": (
+        lambda: approximation_error(_POSTERIOR, [[0.5, 0.5]]),
+        "oracle_posterior shape (1, 2) != (2, 2)",
     ),
 }
 
