@@ -20,26 +20,45 @@ import numpy as np
 from .errors import ValidationError, check_choice
 
 
-def as_float_matrix(arr, name: str, shape: tuple = (None, None)) -> np.ndarray:
-    """`arr` as a float array of `shape` with finite entries, uncopied if it
-    is one: the rule of every public numeric input. The tuple's length is the
-    rank, and a None in it allows any size on that axis. A string, even a
-    numeric one such as "1.5", ragged rows, 10**400, NaN or inf raises
-    ValidationError, and so do a wrong rank and a wrong size, the latter as
+def _check_shape(out: np.ndarray, name: str, shape: tuple) -> np.ndarray:
+    """`out`, if it has `shape`: the tuple's length is the rank, and a None in
+    it allows any size on that axis. A wrong rank raises ValidationError as
+    "{name} must be a 2-D matrix, got ndim=1" and a wrong size as
     "{name} shape {got} != {want}": nothing is reshaped."""
-    noun = "vector" if len(shape) == 1 else "matrix"
+    if out.ndim != len(shape):
+        noun = "vector" if len(shape) == 1 else "matrix"
+        raise ValidationError(f"{name} must be a {len(shape)}-D {noun}, got ndim={out.ndim}")
+    want = tuple(got if size is None else size for got, size in zip(out.shape, shape))
+    if out.shape != want:
+        raise ValidationError(f"{name} shape {out.shape} != {want}")
+    return out
+
+
+def _as_floats(arr, name: str, shape: tuple = (None, None)) -> np.ndarray:
+    """`arr` as a float array of `shape`, read by the number rule and
+    `_check_shape`, uncopied if it is one; its cells may be NaN or infinite.
+    A string, even a numeric one such as "1.5", ragged rows or 10**400
+    raises ValidationError; a bool reads as 1.0 or 0.0."""
     try:
         out = np.asarray(arr)
         if out.dtype.kind in "OSU" and any(isinstance(v, (str, bytes)) for v in out.flat):
             raise TypeError  # numpy would parse "1.5"; the number rule does not
         out = out.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):  # strings, ragged rows, 10**400
+        noun = "vector" if len(shape) == 1 else "matrix"
         raise ValidationError(f"{name} must be a {noun} of numbers") from None
-    if out.ndim != len(shape):
-        raise ValidationError(f"{name} must be a {len(shape)}-D {noun}, got ndim={out.ndim}")
-    want = tuple(got if size is None else size for got, size in zip(out.shape, shape))
-    if out.shape != want:
-        raise ValidationError(f"{name} shape {out.shape} != {want}")
+    return _check_shape(out, name, shape)
+
+
+def as_float_matrix(arr, name: str, shape: tuple = (None, None)) -> np.ndarray:
+    """`arr` as a float array of `shape` with finite entries, uncopied if it
+    is one: the rule of every public numeric input. It is `_as_floats` plus
+    the finite test. The tuple's length is the rank, and a None in it allows
+    any size on that axis. A string, even a numeric one such as "1.5",
+    ragged rows, 10**400, a wrong rank, a wrong size (as
+    "{name} shape {got} != {want}"), NaN or inf raises ValidationError:
+    nothing is reshaped."""
+    out = _as_floats(arr, name, shape)
     if out.size and not np.all(np.isfinite(out)):
         raise ValidationError(f"{name} contains non-finite values")
     return out
@@ -49,15 +68,14 @@ def as_float_matrix(arr, name: str, shape: tuple = (None, None)) -> np.ndarray:
 _MAX_LABEL = int(np.iinfo(int).max)
 
 
-def _as_label_vector(arr, name: str = "labels") -> np.ndarray:
-    """`arr` as a 1-D int vector of labels >= 1, uncopied if it is one, or
-    ValidationError naming `name`."""
+def _as_label_vector(arr, name: str = "labels", shape: tuple = (None,)) -> np.ndarray:
+    """`arr` as an int vector of labels >= 1 at `shape`, read by
+    `_check_shape`, uncopied if it is one, or ValidationError naming `name`."""
     try:
         y = np.asarray(arr)
     except ValueError:  # ragged rows
         raise ValidationError(f"{name} must be integers") from None
-    if y.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-D vector, got ndim={y.ndim}")
+    _check_shape(y, name, shape)
     if y.size == 0:
         raise ValidationError(f"{name} are empty")
     if y.dtype.kind == "f":
@@ -111,12 +129,7 @@ class LabeledDataset(UnlabeledDataset):
 
     def __post_init__(self):
         super().__post_init__()
-        self.y = _as_label_vector(self.y)
-        n = self.y.shape[0]
-        if self.n_rows != n:
-            raise ValidationError(
-                f"row mismatch: z has {self.z.shape[0]}, x has {self.x.shape[0]}, y has {n}"
-            )
+        self.y = _as_label_vector(self.y, shape=(self.n_rows,))
 
     @property
     def n_classes(self) -> int:
@@ -147,30 +160,27 @@ def _write_blocks(path, header: list[str], line: str, *columns: np.ndarray) -> N
             fh.write((line + "\n") * len(cells) % tuple(cells.ravel()))
 
 
-def _label_column(y) -> np.ndarray:
-    """`y` as an (n, 1) column, read by `_as_label_vector` when it has rows."""
+def _label_column(y, rows: int | None = None) -> np.ndarray:
+    """`y` as an (n, 1) column of `rows` rows (None: any count), read by
+    `_as_label_vector`, or by `_check_shape` alone when it is empty."""
     y = np.asarray(y)
-    return (_as_label_vector(y, "y") if y.size else y).reshape(-1, 1)
+    read = _as_label_vector if y.size else _check_shape
+    return read(y, "y", (rows,)).reshape(-1, 1)
 
 
 def write_dataset_csv(path, z: np.ndarray, x: np.ndarray, y: np.ndarray | None) -> None:
     """Write rows as ``y,z1..,x1..``; y cells are left empty when y is None.
 
-    z and x must be 2-D and y, when given, 1-D, all of one row count, or a
-    ValidationError names every shape; y must hold labels as
-    `LabeledDataset` reads them. Either fault is raised before the file is
-    opened. Feature cells may be NaN or infinite, and a file may have no
-    rows."""
-    z = np.asarray(z, dtype=float)
-    x = np.asarray(x, dtype=float)
-    arrays = {"z": z, "x": x} if y is None else {"z": z, "x": x, "y": np.asarray(y)}
-    if any(a.ndim != (1 if name == "y" else 2) or a.shape[:1] != z.shape[:1]
-           for name, a in arrays.items()):
-        got = ", ".join(f"{name} {a.shape}" for name, a in arrays.items())
-        raise ValidationError(f"z and x must be 2-D and y 1-D, all of one row count; got {got}")
+    z and x are read by `_as_floats`, x at z's row count, so a cell may be
+    NaN or infinite but not a string such as "1.5"; y, when given, is read
+    as `LabeledDataset` reads its labels, at z's row count. A fault raises
+    ValidationError naming the array, as in "x shape (300, 3) != (256, 3)",
+    before the file is opened. A file may have no rows."""
+    z = _as_floats(z, "z")
+    x = _as_floats(x, "x", shape=(z.shape[0], None))
     d_z, d_x = z.shape[1], x.shape[1]
     header = ["y"] + [f"z{i}" for i in range(1, d_z + 1)] + [f"x{i}" for i in range(1, d_x + 1)]
-    labels = [] if y is None else [_label_column(arrays["y"])]
+    labels = [] if y is None else [_label_column(y, z.shape[0])]
     # csv quotes one cell here: a row of a lone empty cell is `""`.
     line = ",".join(["" if y is None else "%d"] + ["%r"] * (d_z + d_x)) or '""'
     _write_blocks(path, header, line, *labels, z, x)
@@ -184,7 +194,11 @@ def write_labels_csv(path, y: np.ndarray) -> None:
 
 
 def write_posterior_csv(path, posterior: np.ndarray) -> None:
-    """Write an (n, K) posterior as columns ``p1..pK``."""
+    """Write an (n, K) posterior as columns ``p1..pK``. It is read by
+    `_as_floats`, so a cell may be NaN or infinite and a bool is written as
+    1.0 or 0.0, but a string or a 1-D array raises ValidationError before
+    the file is opened."""
+    posterior = _as_floats(posterior, "posterior")
     header = [f"p{j}" for j in range(1, posterior.shape[1] + 1)]
     _write_blocks(path, header, ",".join(["%r"] * len(header)), posterior)
 

@@ -48,12 +48,12 @@ NONNEGATIVE = (lambda v: 0.0 <= v < math.inf, "be nonnegative and finite")
 FINITE = (math.isfinite, "be finite")
 
 
-def check_reals(values, *names, **ranges) -> None:
+def check_reals(values, **ranges) -> None:
     """Raise ValidationError unless each `values[name]`, as in `check_integers`,
     is a real number that is not a bool, and a float can hold it: an int such
-    as 10**400 would pass every `<` test and then overflow. A name given as a
-    keyword must also lie in its range; a NaN lies in none."""
-    for name in (*names, *ranges):
+    as 10**400 would pass every `<` test and then overflow. Each must also lie
+    in its range; a NaN lies in none."""
+    for name in ranges:
         value = values[name]
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValidationError(f"{name} must be a real number, got {value!r}")

@@ -44,9 +44,7 @@ def balanced_accuracy(y_true, y_pred) -> float:
     """Mean of per-class recalls over classes 1..K; both vectors hold labels
     in 1..K, read as `LabeledDataset` reads its labels."""
     yt = _as_label_vector(y_true, "y_true")
-    yp = _as_label_vector(y_pred, "y_pred")
-    if yt.shape != yp.shape:
-        raise ValidationError("y_true and y_pred must be 1-D vectors of equal length")
+    yp = _as_label_vector(y_pred, "y_pred", shape=yt.shape)
     n_classes = max(2, int(yt.max()), int(yp.max()))
     recalls = []
     for label in range(1, n_classes + 1):

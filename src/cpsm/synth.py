@@ -181,7 +181,7 @@ class ShiftProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_reals(vars(self), "shift_delta", base_rate=PROBABILITY)
+        check_reals(vars(self), shift_delta=FINITE, base_rate=PROBABILITY)
         if not 0.0 < self.base_rate + self.shift_delta < 1.0:
             raise ValidationError("base_rate + shift_delta must lie in (0, 1)")
         check_integers(vars(self), n_source=1, n_target=1, conditioning_column=0, seed=0)

@@ -9,6 +9,7 @@ message for the same line. The writers format a block of rows at a time;
 the references in helpers.py write row by row through `csv.writer`, and
 both must write the same bytes.
 """
+import math
 import tracemalloc
 from dataclasses import astuple
 
@@ -331,30 +332,58 @@ def test_writing_a_long_file_holds_a_few_blocks_of_cells(tmp_path):
 
 
 # Arrays the writers refuse, and the message, raised before the file is
-# opened: rows of z, x and y that would not line up, or labels that "%d"
-# would truncate (1.7 written as 1) or that the reader refuses (False as 0).
+# opened: rows of z, x and y that would not line up, feature or posterior
+# cells that are no numbers, or labels that "%d" would truncate (1.7 written
+# as 1) or that the reader refuses (False as 0).
 _Z = np.zeros((300, 2))
-_UNALIGNED = "z and x must be 2-D and y 1-D, all of one row count; got "
 _UNWRITABLE = {
     "x-more-rows": (
         lambda path: write_dataset_csv(path, np.zeros((256, 2)), np.zeros((300, 3)), None),
-        _UNALIGNED + "z (256, 2), x (300, 3)",
+        "x shape (300, 3) != (256, 3)",
     ),
     "y-fewer-rows": (
         lambda path: write_dataset_csv(path, _Z, _Z, np.ones(256, dtype=int)),
-        _UNALIGNED + "z (300, 2), x (300, 2), y (256,)",
+        "y shape (256,) != (300,)",
     ),
     "x-fewer-rows": (
         lambda path: write_dataset_csv(path, _Z, np.zeros((299, 1)), None),
-        _UNALIGNED + "z (300, 2), x (299, 1)",
+        "x shape (299, 1) != (300, 1)",
     ),
     "z-1-D": (
         lambda path: write_dataset_csv(path, np.zeros(300), _Z, None),
-        _UNALIGNED + "z (300,), x (300, 2)",
+        "z must be a 2-D matrix, got ndim=1",
     ),
     "y-2-D": (
         lambda path: write_dataset_csv(path, _Z, _Z, np.ones((300, 1), dtype=int)),
-        _UNALIGNED + "z (300, 2), x (300, 2), y (300, 1)",
+        "y must be a 1-D vector, got ndim=2",
+    ),
+    "y-empty": (
+        lambda path: write_dataset_csv(path, _Z, _Z, np.ones(0, dtype=int)),
+        "y shape (0,) != (300,)",
+    ),
+    "z-numeric-string": (
+        lambda path: write_dataset_csv(path, [["1.5"]], [[0.0]], None),
+        "z must be a matrix of numbers",
+    ),
+    "z-string": (
+        lambda path: write_dataset_csv(path, [["a"]], [[0.0]], None),
+        "z must be a matrix of numbers",
+    ),
+    "z-ragged": (
+        lambda path: write_dataset_csv(path, [[0.0], [0.0, 1.0]], np.zeros((2, 1)), None),
+        "z must be a matrix of numbers",
+    ),
+    "z-overflow": (
+        lambda path: write_dataset_csv(path, [[10**400]], [[0.0]], None),
+        "z must be a matrix of numbers",
+    ),
+    "posterior-1-D": (
+        lambda path: write_posterior_csv(path, np.full(3, 0.5)),
+        "posterior must be a 2-D matrix, got ndim=1",
+    ),
+    "posterior-strings": (
+        lambda path: write_posterior_csv(path, np.array([["a", "b"]])),
+        "posterior must be a matrix of numbers",
     ),
     "dataset-fraction": (
         lambda path: write_dataset_csv(path, _Z[:2], _Z[:2], [1.5, 2.0]), "y must be integers"
@@ -364,6 +393,9 @@ _UNWRITABLE = {
     ),
     "labels-fraction": (lambda path: write_labels_csv(path, [1.7, 2.2]), "y must be integers"),
     "labels-bool": (lambda path: write_labels_csv(path, [True, False]), "y must be integers"),
+    "labels-empty-2-D": (
+        lambda path: write_labels_csv(path, [[]]), "y must be a 1-D vector, got ndim=2"
+    ),
     "labels-zero": (
         lambda path: write_labels_csv(path, [1, 0]), "y must be 1-based positive integers"
     ),
@@ -377,3 +409,14 @@ def test_the_writers_refuse_what_they_cannot_write_whole(tmp_path, case):
         write(tmp_path / "out.csv")
     assert str(caught.value) == message
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_nested_list_posterior_writes_the_bytes_of_its_array(tmp_path):
+    rows = [[0.25, 0.75], [1.0, 0.0], [math.nan, math.inf]]
+    _same_bytes(tmp_path, write_posterior_csv,
+                lambda path, rows: write_posterior_csv(path, np.array(rows)), rows)
+
+
+def test_a_boolean_posterior_is_written_as_the_float_reader_converts_it(tmp_path):
+    write_posterior_csv(tmp_path / "out.csv", np.array([[True, False], [False, True]]))
+    assert (tmp_path / "out.csv").read_text() == "p1,p2\n1.0,0.0\n0.0,1.0\n"

@@ -86,7 +86,7 @@ def test_missing_true_class_is_an_error():
 
 @pytest.mark.parametrize(
     "y_true, y_pred, message",
-    [([1, 2, 1], [1, 2], "1-D vectors of equal length"), ([], [], "y_true are empty")],
+    [([1, 2, 1], [1, 2], r"^y_pred shape \(2,\) != \(3,\)$"), ([], [], "y_true are empty")],
     ids=["unequal-length", "empty"],
 )
 def test_balanced_accuracy_rejects(y_true, y_pred, message):

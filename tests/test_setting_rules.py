@@ -57,6 +57,10 @@ _Z_DISTRIBUTIONS = "('bernoulli_z', 'gaussian_z')"
      "shift_slope must be finite, got nan"),
     (lambda: ShiftProtocolConfig(**{**_PROTOCOL, "base_rate": 0.0}),
      "base_rate must lie in (0, 1), got 0.0"),
+    (lambda: ShiftProtocolConfig(**{**_PROTOCOL, "shift_delta": math.nan}),
+     "shift_delta must be finite, got nan"),
+    (lambda: ShiftProtocolConfig(**{**_PROTOCOL, "shift_delta": -math.inf}),
+     "shift_delta must be finite, got -inf"),
     (lambda: classify([[0.5, 0.5]], 1.0), "threshold must lie in (0, 1), got 1.0"),
     # Name choices: the name, the value and every valid value.
     (lambda: SynthConfig(**{**_GAUSSIAN, "dataset_kind": "uniform_z"}),
@@ -73,8 +77,8 @@ _Z_DISTRIBUTIONS = "('bernoulli_z', 'gaussian_z')"
      "unknown feature block 'x', expected one of ('z', 'zx')"),
 ], ids=["em_tolerance", "tolerance", "l2_penalty", "source_cond_prob", "target_prior",
         "shift_slope", "shift_slope-infinite", "calibrate-target_prior", "calibrate-shift_slope",
-        "base_rate", "threshold", "dataset_kind", "z-distribution", "generator-kind",
-        "benchmark-method", "adapt-method", "feature-block"])
+        "base_rate", "shift_delta-nan", "shift_delta-infinite", "threshold", "dataset_kind",
+        "z-distribution", "generator-kind", "benchmark-method", "adapt-method", "feature-block"])
 def test_each_rule_has_one_message(call, message):
     with pytest.raises(ValidationError) as info:
         call()

@@ -572,7 +572,7 @@ def test_labels_that_are_not_whole_numbers_are_rejected(labels):
         (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((3, 1))),
          r"x shape \(3, 1\) != \(2, 1\)"),
         (lambda: LabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1)), y=[1, 2, 1]),
-         "row mismatch: z has 2, x has 2, y has 3"),
+         r"^labels shape \(3,\) != \(2,\)$"),
         (lambda: UnlabeledDataset(z=np.zeros((2, 1)), x=np.zeros((2, 1))).features("x"),
          "unknown feature block 'x'"),
         (lambda: as_float_matrix(np.zeros(3), "z"), "z must be a 2-D matrix, got ndim=1"),
